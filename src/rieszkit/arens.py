@@ -160,6 +160,24 @@ class IntermediateForm:
                 clean[idx] = value
         self._entries = clean
 
+    @classmethod
+    def _derived(
+        cls,
+        dims: tuple[int, ...],
+        labels: tuple[int, ...],
+        entries: dict[tuple[int, ...], Fraction],
+    ) -> "IntermediateForm":
+        """Wrap data derived from an already valid form or tensor, unchecked.
+
+        The caller guarantees int tuples of equal length, in-range index
+        tuples and nonzero Fraction values; ``entries`` is stored as given.
+        """
+        form = cls.__new__(cls)
+        form._dims = dims
+        form._labels = labels
+        form._entries = entries
+        return form
+
     @property
     def dims(self) -> tuple[int, ...]:
         return self._dims
@@ -249,10 +267,16 @@ def _contract_entries(
         c = coefficient(idx[0])
         if c == 0:
             continue
+        if c != 1:
+            value = c * value
         rest = idx[1:]
-        acc = out.get(rest, _ZERO) + c * value
+        prev = out.get(rest)
+        if prev is None:
+            out[rest] = value
+            continue
+        acc = prev + value
         if acc == 0:
-            out.pop(rest, None)
+            del out[rest]
         else:
             out[rest] = acc
     return out
@@ -266,12 +290,11 @@ def permute_form(form: IntermediateForm, rho: Permutation) -> IntermediateForm:
     """
     if rho.m != len(form.dims):
         raise ShapeError(f"permutation of {rho.m} slots against {len(form.dims)}")
-    dims = tuple(form.dims[rho(l)] for l in range(rho.m))
-    labels = tuple(form.labels[rho(l)] for l in range(rho.m))
-    entries = {
-        tuple(idx[rho(l)] for l in range(rho.m)): v for idx, v in form.entries.items()
-    }
-    return IntermediateForm(dims, labels, entries)
+    order = tuple(rho(l) for l in range(rho.m))
+    dims = tuple(form.dims[i] for i in order)
+    labels = tuple(form.labels[i] for i in order)
+    entries = {tuple([idx[i] for i in order]): v for idx, v in form.entries.items()}
+    return IntermediateForm._derived(dims, labels, entries)
 
 
 def contract(x_bidual: FinVector, form: IntermediateForm) -> IntermediateForm:
@@ -287,13 +310,13 @@ def contract(x_bidual: FinVector, form: IntermediateForm) -> IntermediateForm:
             f"bidual dim {x_bidual.dim} against slot dim {form.dims[0]}"
         )
     entries = _contract_entries(form.entries, lambda j: x_bidual[j])
-    return IntermediateForm(form.dims[1:], form.labels[1:], entries)
+    return IntermediateForm._derived(form.dims[1:], form.labels[1:], entries)
 
 
 def _slice_form(tensor: MultiTensor, out_coord: int) -> IntermediateForm:
     """The scalar form y' o A for the dual atom y' at one output coordinate."""
     entries = {idx: v for (k, idx), v in tensor.items() if k == out_coord}
-    return IntermediateForm(tensor.domain_dims, range(tensor.m), entries)
+    return IntermediateForm._derived(tensor.domain_dims, tuple(range(tensor.m)), entries)
 
 
 @dataclass(frozen=True)
@@ -316,17 +339,19 @@ def arens_extension(
     """Assemble the rho-extension tensor by running the chain on atom biduals.
 
     Multilinearity means values on atom tuples describe the extension
-    completely. The atom walk contracts the permuted form against every
-    atom of the first remaining slot simultaneously (grouping entries by
-    leading index, which is what contracting with each atom computes) and
-    descends, so each output coordinate costs one pass per level.
+    completely. Each output slice is permuted into rho-order once, then
+    contracted against every atom of one slot per level (see
+    :func:`_assemble`), so each output coordinate costs one pass per level.
     """
     if rho.m != tensor.m:
         raise ShapeError(f"permutation arity {rho.m} against tensor arity {tensor.m}")
+    labels = tuple(range(tensor.m))
+    inverse = tuple(rho.apply_inverse(i) for i in range(rho.m))
     entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     trace: dict[int, tuple[IntermediateForm, ...]] = {}
-    for k in range(tensor.codomain_dim):
-        permuted = permute_form(_slice_form(tensor, k), rho)
+    for k, slice_entries in tensor.slices().items():
+        slice_form = IntermediateForm._derived(tensor.domain_dims, labels, slice_entries)
+        permuted = permute_form(slice_form, rho)
         if with_trace:
             chain = [permuted]
             form = permuted
@@ -334,32 +359,32 @@ def arens_extension(
                 form = contract(FinVector.ones(form.dims[0]), form)
                 chain.append(form)
             trace[k] = tuple(chain)
-        _assemble(permuted, rho, k, [], entries)
-    result = MultiTensor(tensor.domain_dims, tensor.codomain_dim, entries)
+        for chosen, value in _assemble(permuted.entries, rho.m).items():
+            entries[(k, tuple([chosen[l] for l in inverse]))] = value
+    result = MultiTensor._derived(tensor.domain_dims, tensor.codomain_dim, entries)
     return ArensResult(rho, result, trace if with_trace else None)
 
 
 def _assemble(
-    form: IntermediateForm,
-    rho: Permutation,
-    out_coord: int,
-    chosen: list[int],
-    entries: dict[tuple[int, tuple[int, ...]], Fraction],
-) -> None:
-    if form.is_scalar():
-        value = form.scalar()
-        if value != 0:
-            idx = [0] * rho.m
-            for level, atom in enumerate(chosen):
-                idx[rho(level)] = atom
-            entries[(out_coord, tuple(idx))] = value
-        return
-    groups: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for idx, v in form.entries.items():
-        groups.setdefault(idx[0], {})[idx[1:]] = v
-    for atom in sorted(groups):
-        child = IntermediateForm(form.dims[1:], form.labels[1:], groups[atom])
-        _assemble(child, rho, out_coord, chosen + [atom], entries)
+    permuted: dict[tuple[int, ...], Fraction], m: int
+) -> dict[tuple[int, ...], Fraction]:
+    """Contract a permuted slice form against every atom tuple, level by level.
+
+    Contracting the first remaining slot against the atom e_j keeps exactly
+    the entries whose leading index is j, so one group-by on the leading
+    index contracts every form of a level against every atom of its slot.
+    ``level`` maps the atoms chosen so far (in contraction order) to the
+    entries of the form that remains; after m levels each form is a nonzero
+    scalar. Returns those scalars keyed by their atom tuple.
+    """
+    level = {(): permuted}
+    for _ in range(m):
+        grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        for chosen, form in level.items():
+            for idx, v in form.items():
+                grouped.setdefault(chosen + idx[:1], {})[idx[1:]] = v
+        level = grouped
+    return {chosen: form[()] for chosen, form in level.items()}
 
 
 def arens_evaluate(

@@ -1,23 +1,20 @@
 """Command line front end.
 
 Subcommands ingest operator spec files, run the corresponding checks and
-print a report, human-readable by default or canonical JSON with --json.
-Exit codes: 0 when the checked property holds, 1 when it fails (the report
-then carries a witness), 2 on input errors. Reports are byte-identical
-across runs for the same input and seed; wall-clock time goes to stderr
-only. RIESZKIT_THREADS > 1 spreads per-permutation work over a thread
-pool without changing the output.
+print a report, human-readable by default or compact canonical JSON with
+--json. Exit codes: 0 when the checked property holds, 1 when it fails
+(the report then carries a witness), 2 on input errors. Reports are
+byte-identical across runs for the same input and seed; wall-clock time
+goes to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .arens import (
     Permutation,
@@ -64,17 +61,6 @@ from .seqmodel import (
     rank_lower_bound,
     slotwise_dp_check,
 )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("RIESZKIT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SpecFileError(f"RIESZKIT_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
 
 
 def _read_file(path: str) -> bytes:
@@ -136,31 +122,26 @@ def _report_check_dp(tensor: MultiTensor, digest: str, args: dict) -> tuple[int,
 def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dict]:
     perms = _perm_choices(args["perm"], tensor.m)
     with_trace = args["trace"]
-
-    def work(rho: Permutation):
-        result = arens_extension(tensor, rho, with_trace=with_trace)
-        return rho, result, result.tensor.is_dp()
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, perms))
-    else:
-        outcomes = [work(rho) for rho in perms]
-
     input_verdict = tensor.is_dp()
+    input_obj = tensor_to_obj(tensor)
     checks = [check("input-dp", input_verdict.is_dp)]
     extensions = []
-    for rho, result, verdict in outcomes:
+    for rho in perms:
+        result = arens_extension(tensor, rho, with_trace=with_trace)
         name = "perm " + " ".join(str(i) for i in rho.one_line())
         restricted = result.tensor == tensor
+        # An extension equal to the input shares its verdict and wire form.
+        if restricted:
+            verdict, tensor_obj = input_verdict, input_obj
+        else:
+            verdict, tensor_obj = result.tensor.is_dp(), tensor_to_obj(result.tensor)
         checks.append(check(f"restriction [{name}]", restricted))
         if input_verdict.is_dp:
             checks.append(check(f"dp-preserved [{name}]", verdict.is_dp))
         entry = {
             "perm": list(rho.one_line()),
             "dp": verdict.is_dp,
-            "tensor": tensor_to_obj(result.tensor),
+            "tensor": tensor_obj,
         }
         if with_trace:
             entry["trace"] = {

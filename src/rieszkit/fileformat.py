@@ -6,8 +6,9 @@ rationals are strings "p/q" (or "p" when the denominator is 1). A tensor
 file is recognized by its "m" field; the two sequence kinds must carry an
 explicit "kind". Duplicate tensor entries are rejected rather than merged.
 
-Serialization is canonical (sorted keys, fixed indentation, trailing
-newline), so identical objects produce identical bytes.
+Spec serialization is canonical (sorted keys, fixed indentation, trailing
+newline), so identical objects produce identical bytes. CLI reports use a
+compact canonical form instead (:func:`rieszkit.report.report_json`).
 """
 
 from __future__ import annotations

@@ -149,6 +149,25 @@ class MultiTensor:
         self._entries = clean
 
     @classmethod
+    def _derived(
+        cls,
+        domain_dims: tuple[int, ...],
+        codomain_dim: int,
+        entries: dict[tuple[int, tuple[int, ...]], Fraction],
+    ) -> "MultiTensor":
+        """Wrap entries derived from an already valid tensor, unchecked.
+
+        The caller guarantees the shape of a valid tensor, in-range keys
+        of int tuples and nonzero Fraction values; ``entries`` is stored
+        as given.
+        """
+        tensor = cls.__new__(cls)
+        tensor._dims = domain_dims
+        tensor._cod = codomain_dim
+        tensor._entries = entries
+        return tensor
+
+    @classmethod
     def from_rows(
         cls,
         domain_dims: Sequence[int],

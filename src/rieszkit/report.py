@@ -1,17 +1,20 @@
 """Deterministic reports for the command line front end.
 
-A report is a plain dict rendered either as canonical JSON or as stable
+A report is a plain dict rendered either as compact canonical JSON
+(sorted keys, no insignificant whitespace, trailing newline) or as stable
 human text. Identical input and seed produce identical bytes: nothing
 time- or path-dependent goes in (wall time is printed to stderr by the
 CLI, never into the report). Witnesses are serialized 1-based to match
-the file formats and can be re-verified later by the replay command.
+the file formats and can be re-verified later by the replay command,
+which compares parsed reports, so the indented form older versions wrote
+replays just the same.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
-from .fileformat import canonical_json
 from .operators import DPVerdict, DPWitness
 from .rational import format_rational, parse_rational
 from .vectors import FinVector
@@ -98,7 +101,8 @@ def build_report(
 
 
 def report_json(report: dict) -> str:
-    return canonical_json(report)
+    # No indent: CPython only uses its C encoder when indent is None.
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def render_human(report: dict) -> str:

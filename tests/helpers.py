@@ -4,7 +4,8 @@ The oracles here decide the same questions as the library through a
 different route, so a bug would have to hit both sides identically to
 slip past. dp_oracle searches actual disjoint argument pairs and checks
 image disjointness by evaluation; rank_oracle counts rays of the
-atom-image matrix; modulus_oracle recomputes the least majorant pointwise.
+atom-image matrix; modulus_oracle recomputes the least majorant pointwise;
+arens_reference runs the extension chain one validated form per node.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from rieszkit import MultiTensor
+from rieszkit import (
+    FinVector,
+    IntermediateForm,
+    MultiTensor,
+    Permutation,
+    contract,
+    permute_form,
+)
 
 
 def disjoint_subset_pairs(dim: int):
@@ -160,3 +168,49 @@ def count_sign_tensors(domain_dims, codomain_dim, max_support=None) -> int:
     if max_support is None:
         return 3 ** cells
     return sum(math.comb(cells, s) * 2 ** s for s in range(max_support + 1))
+
+
+def _validated(form: IntermediateForm) -> IntermediateForm:
+    return IntermediateForm(form.dims, form.labels, form.entries)
+
+
+def arens_reference(tensor: MultiTensor, rho: Permutation):
+    """The rho-extension and its all-ones trace, by the per-node chain.
+
+    For each output coordinate, the slice form is permuted with the public
+    permute_form; then every node of the contraction tree contracts its
+    form against each atom of the first remaining slot, one contract call
+    and one validated form per child, until scalars remain. Zero children
+    are pruned: every further contraction of a zero form is zero. Returns
+    (tensor, trace) with the trace in the shape arens_extension records.
+    """
+    m = tensor.m
+    entries = {}
+    trace = {}
+    for k in range(tensor.codomain_dim):
+        slice_form = IntermediateForm(
+            tensor.domain_dims,
+            range(m),
+            {idx: v for (out, idx), v in tensor.items() if out == k},
+        )
+        permuted = _validated(permute_form(slice_form, rho))
+        chain = [permuted]
+        while not chain[-1].is_scalar():
+            form = chain[-1]
+            chain.append(_validated(contract(FinVector.ones(form.dims[0]), form)))
+        trace[k] = tuple(chain)
+        stack = [(permuted, ())]
+        while stack:
+            form, chosen = stack.pop()
+            if form.is_scalar():
+                idx = [0] * m
+                for level, atom in enumerate(chosen):
+                    idx[rho(level)] = atom
+                entries[(k, tuple(idx))] = form.scalar()
+                continue
+            d = form.dims[0]
+            for j in range(d):
+                child = _validated(contract(FinVector.atom(d, j), form))
+                if child.entries:
+                    stack.append((child, chosen + (j,)))
+    return MultiTensor(tensor.domain_dims, tensor.codomain_dim, entries), trace

@@ -9,7 +9,6 @@ criteria assert their own wall-clock budget.
 import contextlib
 import json
 import math
-import os
 import pathlib
 import random
 import subprocess
@@ -296,12 +295,9 @@ def test_acceptance_8_sequence_model(capsys):
 
 
 def _cli(*args):
-    env = os.environ.copy()
-    env.pop("RIESZKIT_THREADS", None)
     return subprocess.run(
         [sys.executable, "-m", "rieszkit", *map(str, args)],
         capture_output=True,
-        env=env,
     )
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rieszkit import (
     FinVector,
@@ -23,6 +24,7 @@ from rieszkit import (
     span_disjointness,
 )
 from rieszkit.arens import _slice_form
+from helpers import arens_reference
 from rieszkit.sampling import (
     disjoint_vector_pair,
     random_dp_tensor,
@@ -135,6 +137,49 @@ def test_restriction_law_random():
         t = random_tensor(rng, dims, rng.choice([1, 2]), density=0.5)
         for rho in all_permutations(m):
             assert arens_extension(t, rho).tensor == t
+
+
+@st.composite
+def small_tensors(draw):
+    m = draw(st.integers(1, 4))
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(m))
+    cod = draw(st.integers(1, 2))
+    keys = st.tuples(
+        st.integers(0, cod - 1), st.tuples(*(st.integers(0, d - 1) for d in dims))
+    )
+    values = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    return MultiTensor(dims, cod, draw(st.dictionaries(keys, values, max_size=12)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_tensors())
+def test_extension_matches_per_node_reference(t):
+    for rho in all_permutations(t.m):
+        result = arens_extension(t, rho, with_trace=True)
+        expected, expected_trace = arens_reference(t, rho)
+        assert result.tensor == expected
+        assert result.trace.keys() == expected_trace.keys()
+        for k, chain in result.trace.items():
+            assert chain == expected_trace[k]
+            assert [f.labels for f in chain] == [f.labels for f in expected_trace[k]]
+
+
+def test_derived_objects_equal_validated_rebuilds():
+    rng = random.Random(11)
+    for _ in range(30):
+        m = rng.choice([1, 2, 3, 4])
+        dims = tuple(rng.choice([1, 2, 3]) for _ in range(m))
+        t = random_tensor(rng, dims, rng.choice([1, 2]), density=0.6)
+        for rho in all_permutations(m):
+            result = arens_extension(t, rho, with_trace=True)
+            ext = result.tensor
+            assert ext == MultiTensor(ext.domain_dims, ext.codomain_dim, dict(ext.items()))
+            permuted = permute_form(_slice_form(t, 0), rho)
+            forms = [f for chain in result.trace.values() for f in chain]
+            forms += [permuted, contract(random_vector(rng, permuted.dims[0]), permuted)]
+            for f in forms:
+                rebuilt = IntermediateForm(f.dims, f.labels, f.entries)
+                assert f == rebuilt and f.labels == rebuilt.labels
 
 
 def test_restriction_law_asymmetric_dims():

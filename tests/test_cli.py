@@ -1,22 +1,20 @@
 """End-to-end CLI behavior through subprocesses."""
 
 import json
-import os
 import pathlib
 import subprocess
 import sys
 
+from rieszkit import MultiTensor, cli
+from rieszkit.fileformat import loads_spec
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
-def run(*args, env_extra=None):
-    env = os.environ.copy()
-    env.pop("RIESZKIT_THREADS", None)
-    env.update(env_extra or {})
+def run(*args):
     return subprocess.run(
         [sys.executable, "-m", "rieszkit", *map(str, args)],
         capture_output=True,
-        env=env,
     )
 
 
@@ -54,16 +52,9 @@ def test_reports_byte_identical():
     second = run("arens", fixture("t_vector_dp.json"), "--perm", "all", "--trace", "--json")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-    threaded = run(
-        "arens",
-        fixture("t_vector_dp.json"),
-        "--perm",
-        "all",
-        "--trace",
-        "--json",
-        env_extra={"RIESZKIT_THREADS": "4"},
-    )
-    assert threaded.stdout == first.stdout
+    # compact canonical JSON: sorted keys, no insignificant whitespace
+    report = json.loads(first.stdout)
+    assert first.stdout.decode() == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_arens_perm_selection():
@@ -83,6 +74,24 @@ def test_arens_m4_and_non_dp_input():
     result = run("arens", fixture("t_diag.json"), "--json")
     assert result.returncode == 1
     assert "witness" in json.loads(result.stdout)
+
+
+def test_arens_decides_dp_once_per_distinct_extension(monkeypatch):
+    tensor = loads_spec(fixture("t_diag.json").read_text())
+    calls = []
+    is_dp = MultiTensor.is_dp
+
+    def counted(self):
+        calls.append(self)
+        return is_dp(self)
+
+    monkeypatch.setattr(MultiTensor, "is_dp", counted)
+    code, report = cli._report_arens(tensor, "sha256:x", {"perm": "all", "trace": False})
+    assert code == 1
+    assert len(calls) == 1 and calls[0] is tensor  # every extension equals the input
+    extensions = report["detail"]["extensions"]
+    assert len(extensions) == 2
+    assert all(e["dp"] is False for e in extensions)
 
 
 def test_arens_restriction_visible_in_report():
@@ -164,6 +173,18 @@ def test_replay_covers_other_commands(tmp_path):
     seq_report = tmp_path / "seq.json"
     seq_report.write_bytes(run("seq-demo", "--json").stdout)
     assert run("replay", seq_report).returncode == 0
+
+
+def test_replay_accepts_indented_reports(tmp_path):
+    # replay compares parsed reports, so reports stored in the indented
+    # form older versions wrote keep replaying
+    for cmd, fix in [("arens", "t_diag.json"), ("arens", "t_m3.json"), ("check-dp", "t_diag.json")]:
+        fresh = json.loads(run(cmd, fixture(fix), "--json").stdout)
+        old_style = tmp_path / f"{cmd}-{fix}"
+        old_style.write_text(json.dumps(fresh, sort_keys=True, indent=2) + "\n")
+        replayed = run("replay", old_style, fixture(fix), "--json")
+        assert replayed.returncode == 0
+        assert json.loads(replayed.stdout)["ok"] is True
 
 
 def test_timing_only_on_stderr():
