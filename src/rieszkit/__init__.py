@@ -17,7 +17,6 @@ from .arens import (
     arens_extension,
     check_dp_preservation,
     contract,
-    flip,
     is_dp_functional,
     pairing_identities,
     permute_form,
@@ -33,7 +32,6 @@ from .operators import (
     MultiTensor,
     NotDisjointnessPreserving,
     ShapeError,
-    canonical_embed,
     extend_from_positive_cone,
     factorize_multimorphism,
     sign_expansion_value,
@@ -82,7 +80,6 @@ __all__ = [
     "arens_extension",
     "as_fraction",
     "biadjoint_dp_check",
-    "canonical_embed",
     "check_dp_preservation",
     "comp_adjoint",
     "comp_apply",
@@ -94,7 +91,6 @@ __all__ = [
     "dual_basis_dp",
     "extend_from_positive_cone",
     "factorize_multimorphism",
-    "flip",
     "format_rational",
     "is_dp_functional",
     "pair",

@@ -6,7 +6,7 @@ chain of explicit steps:
 
 1. form the scalar m-form y' o A,
 2. permute its slots into the order rho(1), ..., rho(m),
-3. repeatedly flip the first remaining slot into a dual-vector-valued map
+3. repeatedly read the first remaining slot as a dual-vector-valued map
    and collapse it with the bidual argument for that slot, rho(1) first.
 
 After m contractions a scalar remains; running the chain over atom
@@ -37,6 +37,7 @@ from .operators import (
     NotDisjointnessPreserving,
     ShapeError,
 )
+from .sampling import random_vector
 from .vectors import FinVector
 
 _ZERO = Fraction(0)
@@ -214,53 +215,16 @@ class IntermediateForm:
         return f"IntermediateForm(dims={self._dims}, labels={self._labels}, {len(self._entries)} entries)"
 
 
-class FlippedForm:
-    """A form read as a dual-vector-valued map in its first remaining slot.
-
-    For B on slots (s_1, ..., s_r), the flip sends the tail arguments
-    (x_2, ..., x_r) to the functional x_1 |-> B(x_1, x_2, ..., x_r); here
-    that functional is materialized as its coefficient vector.
-    """
-
-    __slots__ = ("_form",)
-
-    def __init__(self, form: IntermediateForm) -> None:
-        if form.is_scalar():
-            raise ShapeError("nothing left to flip on a scalar form")
-        self._form = form
-
-    @property
-    def first_dim(self) -> int:
-        return self._form.dims[0]
-
-    @property
-    def first_label(self) -> int:
-        return self._form.labels[0]
-
-    def rest_support(self) -> list[tuple[int, ...]]:
-        return sorted({idx[1:] for idx in self._form.entries})
-
-    def dual_vector(self, rest: tuple[int, ...]) -> FinVector:
-        coords = [_ZERO] * self.first_dim
-        for idx, v in self._form.entries.items():
-            if idx[1:] == rest:
-                coords[idx[0]] += v
-        return FinVector(coords)
-
-
-def flip(form: IntermediateForm) -> FlippedForm:
-    return FlippedForm(form)
-
-
 def _contract_entries(
     entries: Mapping[tuple, Fraction],
     coefficient: Callable[[object], Fraction],
 ) -> dict[tuple, Fraction]:
     """Collapse the first index of a sparse form against a coefficient lookup.
 
-    This is the pairing of a bidual element with the flipped form, written
-    sparsely: out[rest] = sum_j coefficient(j) * entries[(j,) + rest]. The
-    sequence model reuses it with sequence positions as indices.
+    This is the pairing of a bidual element with the form read as a
+    dual-vector-valued map in its first index, written sparsely:
+    out[rest] = sum_j coefficient(j) * entries[(j,) + rest]. The sequence
+    model reuses it with sequence positions as indices.
     """
     out: dict[tuple, Fraction] = {}
     for idx, value in entries.items():
@@ -300,8 +264,9 @@ def permute_form(form: IntermediateForm, rho: Permutation) -> IntermediateForm:
 def contract(x_bidual: FinVector, form: IntermediateForm) -> IntermediateForm:
     """Collapse the first remaining slot against a bidual element.
 
-    Equivalent to composing the flip of the form with x_bidual; computed
-    sparsely over the entries instead of materializing each dual vector.
+    Equivalent to pairing x_bidual with the form read as a dual-vector-valued
+    map in that slot; computed sparsely over the entries instead of
+    materializing each dual vector.
     """
     if form.is_scalar():
         raise ShapeError("no slot left to contract")
@@ -311,12 +276,6 @@ def contract(x_bidual: FinVector, form: IntermediateForm) -> IntermediateForm:
         )
     entries = _contract_entries(form.entries, lambda j: x_bidual[j])
     return IntermediateForm._derived(form.dims[1:], form.labels[1:], entries)
-
-
-def _slice_form(tensor: MultiTensor, out_coord: int) -> IntermediateForm:
-    """The scalar form y' o A for the dual atom y' at one output coordinate."""
-    entries = {idx: v for (k, idx), v in tensor.items() if k == out_coord}
-    return IntermediateForm._derived(tensor.domain_dims, tuple(range(tensor.m)), entries)
 
 
 @dataclass(frozen=True)
@@ -401,9 +360,11 @@ def arens_evaluate(
     for i, (x, d) in enumerate(zip(biduals, tensor.domain_dims)):
         if x.dim != d:
             raise ShapeError(f"slot {i}: bidual dim {x.dim}, expected {d}")
+    labels = tuple(range(tensor.m))
     out = []
-    for k in range(tensor.codomain_dim):
-        form = permute_form(_slice_form(tensor, k), rho)
+    for slice_entries in tensor.slices().values():
+        slice_form = IntermediateForm._derived(tensor.domain_dims, labels, slice_entries)
+        form = permute_form(slice_form, rho)
         while not form.is_scalar():
             form = contract(biduals[form.labels[0]], form)
         out.append(form.scalar())
@@ -446,15 +407,6 @@ def is_dp_functional(y_dual: FinVector) -> bool:
     return len(y_dual.support()) <= 1
 
 
-def _random_vector(rng: random.Random, dim: int) -> FinVector:
-    return FinVector(
-        [
-            Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            for _ in range(dim)
-        ]
-    )
-
-
 def pairing_identities(
     tensor: MultiTensor,
     y_dual: FinVector,
@@ -482,15 +434,15 @@ def pairing_identities(
     perms = list(rhos) if rhos is not None else list(all_permutations(tensor.m))
     abs_y = abs(y_dual)
     for rho in perms:
+        extension = arens_extension(tensor, rho).tensor
+        contracted = _contract_entries(dict(extension.items()), y_dual.__getitem__)
         composed = MultiTensor(
-            tensor.domain_dims,
-            1,
-            _composed_entries(arens_extension(tensor, rho).tensor, y_dual),
+            tensor.domain_dims, 1, {(0, idx): v for (idx,), v in contracted.items()}
         )
         if not composed.is_dp().is_dp:
             return False
         for _ in range(samples):
-            biduals = [_random_vector(rng, d) for d in tensor.domain_dims]
+            biduals = [random_vector(rng, d) for d in tensor.domain_dims]
             value = arens_evaluate(tensor, rho, biduals)
             value_abs_args = arens_evaluate(tensor, rho, [abs(b) for b in biduals])
             lhs = abs(value).dot(abs_y)
@@ -499,23 +451,6 @@ def pairing_identities(
             if not (lhs == mid == rhs):
                 return False
     return True
-
-
-def _composed_entries(
-    tensor: MultiTensor, y_dual: FinVector
-) -> dict[tuple[int, tuple[int, ...]], Fraction]:
-    entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for (k, idx), v in tensor.items():
-        c = y_dual[k]
-        if c == 0:
-            continue
-        key = (0, idx)
-        acc = entries.get(key, _ZERO) + c * v
-        if acc == 0:
-            entries.pop(key, None)
-        else:
-            entries[key] = acc
-    return entries
 
 
 def span_disjointness(

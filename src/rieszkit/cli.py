@@ -329,27 +329,62 @@ def _seq_demo_inputs(args) -> tuple[EvConstSeq, str, dict]:
     return weight, digest, {"seed": args.seed, "weight": seq_to_obj(weight)}
 
 
+def _stored_fields(stored) -> tuple[str, str, dict]:
+    """Command, input digest and args of a stored report, type-checked.
+
+    The args are checked for exactly the fields a rebuild reads, so a
+    malformed report is an input error rather than a crash.
+    """
+    if not isinstance(stored, dict) or not isinstance(stored.get("command"), str):
+        raise SpecFileError("not a report file")
+    command = stored["command"]
+    digest = stored.get("input_digest")
+    if not isinstance(digest, str):
+        raise SpecFileError("report has no input_digest string")
+    detail = stored.get("detail", {})
+    stored_args = detail.get("args", {}) if isinstance(detail, dict) else None
+    if not isinstance(stored_args, dict):
+        raise SpecFileError("report detail.args must be a JSON object")
+    required = {"arens": {"perm": str, "trace": bool}, "seq-demo": {"seed": int}}
+    for key, kind in required.get(command, {}).items():
+        if not isinstance(stored_args.get(key), kind):
+            raise SpecFileError(f"report detail.args.{key} must be a {kind.__name__}")
+    return command, digest, stored_args
+
+
+def _stored_witness_verifies(obj, tensor: MultiTensor) -> bool:
+    """Re-verify a stored witness; a malformed one is an input error."""
+    try:
+        witness = witness_from_obj(obj)
+        others = [i for i in range(tensor.m) if i != witness.slot]
+        if not (
+            0 <= witness.out_coord < tensor.codomain_dim
+            and 0 <= witness.slot < tensor.m
+            and sorted(i for i, _ in witness.fixed) == others
+        ):
+            raise ValueError("coordinates out of range for the tensor")
+        return witness.verify(tensor)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SpecFileError(f"malformed witness in report: {exc}") from exc
+
+
 def _run_replay(args) -> tuple[int, dict]:
     raw = _read_file(args.report)
     try:
         stored = json.loads(raw.decode("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecFileError(f"invalid report JSON: {exc}") from exc
-    if not isinstance(stored, dict) or "command" not in stored:
-        raise SpecFileError("not a report file")
-    command = stored["command"]
-    stored_args = stored.get("detail", {}).get("args", {})
+    command, stored_digest, stored_args = _stored_fields(stored)
 
     if command == "seq-demo":
         weight = parse_seq(stored_args.get("weight", {"tail": "1"}), "weight")
-        digest = stored["input_digest"]
-        _, rebuilt = _report_seq_demo(weight, digest, stored_args)
+        _, rebuilt = _report_seq_demo(weight, stored_digest, stored_args)
     else:
         if not args.spec:
             raise SpecFileError(f"replaying {command!r} needs the original spec file")
         data = _read_file(args.spec)
         digest = input_digest(data)
-        if digest != stored["input_digest"]:
+        if digest != stored_digest:
             raise SpecFileError("spec file does not match the report's input digest")
         spec = loads_spec(data.decode("utf-8"))
         if not isinstance(spec, MultiTensor):
@@ -367,13 +402,11 @@ def _run_replay(args) -> tuple[int, dict]:
 
     checks = [check("report-reproduced", rebuilt == stored)]
     if "witness" in stored and command in ("check-dp", "arens", "factorize"):
-        if args.spec:
-            tensor = loads_spec(_read_file(args.spec).decode("utf-8"))
-            witness_ok = witness_from_obj(stored["witness"]).verify(tensor)
-            checks.append(check("witness-verifies", witness_ok))
+        witness_ok = _stored_witness_verifies(stored["witness"], spec)
+        checks.append(check("witness-verifies", witness_ok))
     report = build_report(
         "replay",
-        stored["input_digest"],
+        stored_digest,
         checks,
         detail={"args": {"command": command}},
     )

@@ -325,20 +325,6 @@ class MultiTensor:
             out[k][idx] = v
         return out
 
-    def slice_tensor(self, out_coord: int) -> "MultiTensor":
-        """The scalar-valued component at one output coordinate."""
-        if not 0 <= out_coord < self._cod:
-            raise ShapeError(f"output coordinate {out_coord} out of range")
-        return MultiTensor(
-            self._dims,
-            1,
-            {
-                (0, idx): v
-                for (k, idx), v in self._entries.items()
-                if k == out_coord
-            },
-        )
-
     # -- disjointness preservation ------------------------------------------------
 
     def is_dp(self) -> DPVerdict:
@@ -444,56 +430,34 @@ class MultiTensor:
     def range_sublattice_basis(self) -> list[FinVector]:
         """Basis of the smallest linear sublattice containing the range.
 
-        Starting from the linear span of the atom-tuple images, repeatedly
-        adjoin w v 0, (-w) v 0 and pairwise suprema of the reduced basis and
-        re-extract an echelon basis until the dimension stabilizes. With an
-        echelon basis, stability of exactly these suprema forces the basis
-        vectors to be nonnegative with pairwise disjoint supports, which
-        makes the span genuinely closed under all lattice operations. The
-        dimension is bounded by the codomain, so this terminates.
+        Every vector of that sublattice applies one positively homogeneous
+        piecewise-linear function coordinatewise to the atom images, so two
+        output coordinates whose rows of the atom-image matrix lie on a
+        common positive ray are never separated, while distinct rays are.
+        One pass groups the nonzero rows by ray (each row divided by the
+        modulus of its entry at its smallest atom tuple) and emits one
+        positive vector per ray: the row's lead moduli, scaled so the ray's
+        first coordinate is 1. The vectors are pairwise disjoint and come
+        in order of their first coordinates, the reduced echelon form.
         """
-        basis = _rref_basis(self.atom_images())
-        if not basis:
-            return []
-        zero = FinVector.zero(self._cod)
-        while True:
-            candidates: list[FinVector] = []
-            for i, w in enumerate(basis):
-                candidates.append(w.sup(zero))
-                candidates.append((-w).sup(zero))
-                for w2 in basis[i + 1 :]:
-                    candidates.append(w.sup(w2))
-            enlarged = _rref_basis(basis + candidates)
-            if len(enlarged) == len(basis):
-                return basis
-            basis = enlarged
+        rays: dict[frozenset, list[tuple[int, Fraction]]] = {}
+        for k, row in self.slices().items():
+            if row:
+                lead = abs(row[min(row)])
+                ray = frozenset((idx, v / lead) for idx, v in row.items())
+                rays.setdefault(ray, []).append((k, lead))
+        basis = []
+        for members in rays.values():
+            first = members[0][1]
+            coords = [_ZERO] * self._cod
+            for k, lead in members:
+                coords[k] = lead / first
+            basis.append(FinVector(coords))
+        return basis
 
     def lattice_rank(self) -> int:
         """Dimension of the sublattice generated by the range."""
         return len(self.range_sublattice_basis())
-
-
-def _rref_basis(vectors: Sequence[FinVector]) -> list[FinVector]:
-    """Reduced echelon basis of the span of the given vectors."""
-    basis: list[tuple[int, list[Fraction]]] = []
-    for vec in vectors:
-        row = list(vec.coords())
-        for pivot, b in basis:
-            if row[pivot] != 0:
-                f = row[pivot]
-                row = [a - f * c for a, c in zip(row, b)]
-        pivot = next((i for i, a in enumerate(row) if a != 0), None)
-        if pivot is None:
-            continue
-        inv = row[pivot]
-        row = [a / inv for a in row]
-        for n, (p, b) in enumerate(basis):
-            if b[pivot] != 0:
-                f = b[pivot]
-                basis[n] = (p, [a - f * c for a, c in zip(b, row)])
-        basis.append((pivot, row))
-    basis.sort(key=lambda item: item[0])
-    return [FinVector(row) for _, row in basis]
 
 
 # -- linear operators ---------------------------------------------------------
@@ -599,17 +563,6 @@ class LinOp:
         return self.as_tensor().is_dp()
 
 
-def canonical_embed(x: FinVector) -> FinVector:
-    """Embedding of Q^n into its order bidual.
-
-    Both duals are identified with Q^n via coordinates, and under that
-    identification the embedding is the identity. It is kept explicit so
-    code that moves between the vector, functional and bidual roles says
-    which crossing it intends.
-    """
-    return x
-
-
 # -- positive-cone extension -----------------------------------------------------
 
 
@@ -625,8 +578,8 @@ def extend_from_positive_cone(
     cone determines the operator there, and the unique multilinear
     extension to the whole space has exactly these atom values as its
     tensor entries. :func:`sign_expansion_value` evaluates the same
-    extension without building the tensor, by splitting every argument
-    into positive and negative parts.
+    extension at arbitrary arguments by splitting each one into positive
+    and negative parts, so the tensor only ever sees positive vectors.
     """
     dims = tuple(int(d) for d in domain_dims)
     entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
@@ -640,27 +593,6 @@ def extend_from_positive_cone(
             if vec[k] != 0:
                 entries[(k, idx)] = vec[k]
     return MultiTensor(dims, codomain_dim, entries)
-
-
-def _cone_value(
-    atom_values: Mapping[tuple[int, ...], FinVector],
-    codomain_dim: int,
-    args: Sequence[FinVector],
-) -> FinVector:
-    acc = [_ZERO] * codomain_dim
-    for idx, vec in atom_values.items():
-        weight = Fraction(1)
-        for i, pos in enumerate(idx):
-            c = args[i][pos]
-            if c == 0:
-                weight = _ZERO
-                break
-            weight *= c
-        if weight != 0:
-            for k in range(codomain_dim):
-                if vec[k] != 0:
-                    acc[k] += weight * vec[k]
-    return FinVector(acc)
 
 
 def sign_expansion_value(
@@ -679,12 +611,13 @@ def sign_expansion_value(
     m = len(domain_dims)
     if len(args) != m:
         raise ShapeError(f"expected {m} arguments, got {len(args)}")
+    tensor = extend_from_positive_cone(atom_values, domain_dims, codomain_dim)
     total = FinVector.zero(codomain_dim)
     for signs in itertools.product((0, 1), repeat=m):
         parts = [
             args[i].pos() if s == 0 else args[i].neg() for i, s in enumerate(signs)
         ]
-        term = _cone_value(atom_values, codomain_dim, parts)
+        term = tensor.apply(parts)
         if sum(signs) % 2 == 0:
             total = total + term
         else:

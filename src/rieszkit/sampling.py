@@ -1,8 +1,10 @@
 """Seeded random generators for vectors and tensors.
 
 Everything draws from an explicit :class:`random.Random` so any run can be
-replayed from its seed. Used by the property suites and by the CLI demo
-commands; nothing here is needed for the core algebra.
+replayed from its seed. Used by the property suites and by the sampled
+law checks of :mod:`rieszkit.arens` and :mod:`rieszkit.seqmodel`; nothing
+here is needed for the core algebra, and this module imports only
+:mod:`rieszkit.operators` and :mod:`rieszkit.vectors`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import itertools
 import random
 from fractions import Fraction
 
-from .arens import all_permutations, permute_form, _slice_form
 from .operators import MultiTensor
 from .vectors import FinVector
 
@@ -29,10 +30,6 @@ def nonzero_rational(rng: random.Random, *, span: int = 6, max_den: int = 4) -> 
 
 def random_vector(rng: random.Random, dim: int) -> FinVector:
     return FinVector([random_rational(rng) for _ in range(dim)])
-
-
-def random_positive_vector(rng: random.Random, dim: int) -> FinVector:
-    return FinVector([abs(random_rational(rng)) for _ in range(dim)])
 
 
 def disjoint_vector_pair(rng: random.Random, dim: int) -> tuple[FinVector, FinVector]:
@@ -71,32 +68,3 @@ def random_dp_tensor(
             continue
         entries[(k, rng.choice(cells))] = nonzero_rational(rng)
     return MultiTensor(domain_dims, codomain_dim, entries)
-
-
-def slot_asymmetric_tensor(
-    rng: random.Random,
-    m: int,
-    codomain_dim: int = 1,
-) -> MultiTensor:
-    """A random tensor whose m! permuted slice forms are pairwise distinct.
-
-    Permutations that preserve both the dim profile and the entry pattern
-    would make extension traces coincide, so resample until every pair of
-    permutations is separated by some output coordinate. For m = 1 there is
-    only one permutation and any nonzero tensor will do.
-    """
-    while True:
-        dims = tuple(rng.choice([2, 3]) for _ in range(m))
-        tensor = random_tensor(rng, dims, codomain_dim, density=0.6)
-        if tensor.nnz() == 0:
-            continue
-        signatures = []
-        for rho in all_permutations(m):
-            signatures.append(
-                tuple(
-                    permute_form(_slice_form(tensor, k), rho).content()
-                    for k in range(codomain_dim)
-                )
-            )
-        if len(set(signatures)) == len(signatures):
-            return tensor

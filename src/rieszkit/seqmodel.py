@@ -18,7 +18,7 @@ The diagonal bilinear map (x, y) |-> (w_n x_n y_n) and weighted
 composition operators x |-> (w_k x_{sigma(k)}) live here. Their bidual
 extensions have closed forms; the functions below compute the closed form
 and then re-derive it through the definitional pipeline (adjoint pairings,
-or the flip-and-contract chain shared with :mod:`rieszkit.arens`) at
+or the contraction chain shared with :mod:`rieszkit.arens`) at
 finitely many probe indices, so the identifications stay checked rather
 than assumed.
 """
@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .arens import Permutation, _contract_entries
 from .operators import ShapeError
 from .rational import as_fraction
+from .sampling import random_rational
 
 _ZERO = Fraction(0)
 
@@ -71,10 +72,6 @@ class EvConstSeq:
     def atom(cls, n: int) -> "EvConstSeq":
         """e_n; read against the pairing it is the coordinate functional e_n*."""
         return cls({n: 1}, 0)
-
-    @classmethod
-    def from_values(cls, values: Iterable[object], tail: object = 0) -> "EvConstSeq":
-        return cls({i + 1: v for i, v in enumerate(values)}, tail)
 
     @property
     def tail(self) -> Fraction:
@@ -398,10 +395,6 @@ def comp_biadjoint(op: WeightedCompOp, u: EvConstSeq) -> EvConstSeq:
     return result
 
 
-def random_rational(rng: random.Random, *, span: int = 4, max_den: int = 3) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
-
-
 def random_seq(
     rng: random.Random,
     *,
@@ -410,7 +403,7 @@ def random_seq(
 ) -> EvConstSeq:
     tail = _ZERO if tail_zero else rng.choice([_ZERO, Fraction(1), Fraction(-1, 2), Fraction(2)])
     exc = {
-        k: random_rational(rng)
+        k: random_rational(rng, span=4, max_den=3)
         for k in range(1, max_index + 1)
         if rng.random() < 0.4
     }
@@ -443,7 +436,7 @@ def sample_disjoint_pair(rng: random.Random) -> tuple[EvConstSeq, EvConstSeq]:
 
 
 def _nonzero(rng: random.Random) -> Fraction:
-    value = random_rational(rng)
+    value = random_rational(rng, span=4, max_den=3)
     return value if value != 0 else Fraction(1)
 
 

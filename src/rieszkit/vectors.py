@@ -7,8 +7,7 @@ part decomposition are all computed coordinatewise and exactly.
 Because the order dual of Q^n under this order is again Q^n (a functional
 is its coefficient vector, evaluation is the dot product), the same type
 serves as vector, functional and bidual element. The embedding of a space
-into its bidual is the identity on coordinates; see
-:func:`rieszkit.operators.canonical_embed`.
+into its bidual is the identity on coordinates, so it needs no code.
 """
 
 from __future__ import annotations
@@ -117,9 +116,6 @@ class FinVector:
     def __abs__(self) -> "FinVector":
         return FinVector(abs(a) for a in self)
 
-    def abs(self) -> "FinVector":
-        return self.__abs__()
-
     def pos(self) -> "FinVector":
         """Positive part x+ = sup(x, 0)."""
         return FinVector(a if a > 0 else _ZERO for a in self)
@@ -163,12 +159,3 @@ class FinVector:
         """Evaluation pairing sum_i x_i * f_i."""
         self._check_dim(other)
         return sum((a * b for a, b in zip(self, other)), _ZERO)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_strings(self) -> list[str]:
-        return [format_rational(c) for c in self]
-
-    @classmethod
-    def from_strings(cls, items: Iterable[str]) -> "FinVector":
-        return cls(items)

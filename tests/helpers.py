@@ -4,14 +4,17 @@ The oracles here decide the same questions as the library through a
 different route, so a bug would have to hit both sides identically to
 slip past. dp_oracle searches actual disjoint argument pairs and checks
 image disjointness by evaluation; rank_oracle counts rays of the
-atom-image matrix; modulus_oracle recomputes the least majorant pointwise;
-arens_reference runs the extension chain one validated form per node.
+atom-image matrix; closure_basis_oracle closes the span of the atom
+images under suprema until it stops growing; modulus_oracle recomputes
+the least majorant pointwise; arens_reference runs the extension chain
+one validated form per node.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from rieszkit import (
@@ -19,9 +22,11 @@ from rieszkit import (
     IntermediateForm,
     MultiTensor,
     Permutation,
+    all_permutations,
     contract,
     permute_form,
 )
+from rieszkit.sampling import random_tensor
 
 
 def disjoint_subset_pairs(dim: int):
@@ -102,6 +107,57 @@ def rank_oracle(tensor: MultiTensor) -> int:
             continue
         rays.add(tuple(c / abs(pivot) for c in row))
     return len(rays)
+
+
+def _rref_basis(vectors):
+    """Reduced echelon basis of the span of the given vectors."""
+    basis: list[tuple[int, list[Fraction]]] = []
+    for vec in vectors:
+        row = list(vec.coords())
+        for pivot, b in basis:
+            if row[pivot] != 0:
+                f = row[pivot]
+                row = [a - f * c for a, c in zip(row, b)]
+        pivot = next((i for i, a in enumerate(row) if a != 0), None)
+        if pivot is None:
+            continue
+        inv = row[pivot]
+        row = [a / inv for a in row]
+        for n, (p, b) in enumerate(basis):
+            if b[pivot] != 0:
+                f = b[pivot]
+                basis[n] = (p, [a - f * c for a, c in zip(b, row)])
+        basis.append((pivot, row))
+    basis.sort(key=lambda item: item[0])
+    return [FinVector(row) for _, row in basis]
+
+
+def closure_basis_oracle(tensor: MultiTensor) -> list[FinVector]:
+    """Echelon basis of the sublattice generated by the range, by closure.
+
+    Starting from the span of the atom images, repeatedly adjoin w v 0,
+    (-w) v 0 and pairwise suprema of the reduced basis and re-extract an
+    echelon basis until the dimension stabilizes. With an echelon basis,
+    stability under exactly these suprema forces the basis vectors to be
+    nonnegative with pairwise disjoint supports, so the span is closed
+    under all lattice operations. The dimension is bounded by the
+    codomain, so this terminates.
+    """
+    basis = _rref_basis(tensor.atom_images())
+    if not basis:
+        return []
+    zero = FinVector.zero(tensor.codomain_dim)
+    while True:
+        candidates = []
+        for i, w in enumerate(basis):
+            candidates.append(w.sup(zero))
+            candidates.append((-w).sup(zero))
+            for w2 in basis[i + 1 :]:
+                candidates.append(w.sup(w2))
+        enlarged = _rref_basis(basis + candidates)
+        if len(enlarged) == len(basis):
+            return basis
+        basis = enlarged
 
 
 def modulus_oracle(tensor: MultiTensor) -> MultiTensor:
@@ -214,3 +270,32 @@ def arens_reference(tensor: MultiTensor, rho: Permutation):
                 if child.entries:
                     stack.append((child, chosen + (j,)))
     return MultiTensor(tensor.domain_dims, tensor.codomain_dim, entries), trace
+
+
+def slot_asymmetric_tensor(
+    rng: random.Random,
+    m: int,
+    codomain_dim: int = 1,
+) -> MultiTensor:
+    """A random tensor whose m! permuted slice forms are pairwise distinct.
+
+    Permutations that preserve both the dim profile and the entry pattern
+    would make extension traces coincide, so resample until every pair of
+    permutations is separated by some output coordinate. For m = 1 there is
+    only one permutation and any nonzero tensor will do.
+    """
+    while True:
+        dims = tuple(rng.choice([2, 3]) for _ in range(m))
+        tensor = random_tensor(rng, dims, codomain_dim, density=0.6)
+        if tensor.nnz() == 0:
+            continue
+        slice_forms = [
+            IntermediateForm(dims, range(m), entries)
+            for entries in tensor.slices().values()
+        ]
+        signatures = [
+            tuple(permute_form(form, rho).content() for form in slice_forms)
+            for rho in all_permutations(m)
+        ]
+        if len(set(signatures)) == len(signatures):
+            return tensor

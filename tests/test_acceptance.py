@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_sign_tensors, dp_oracle, modulus_oracle, sign_tensors
+from helpers import count_sign_tensors, dp_oracle, modulus_oracle, sign_tensors, slot_asymmetric_tensor
 from rieszkit import (
     DiagBilinear,
     EvConstSeq,
@@ -45,7 +45,6 @@ from rieszkit.sampling import (
     random_dp_tensor,
     random_tensor,
     random_vector,
-    slot_asymmetric_tensor,
 )
 from rieszkit.seqmodel import (
     random_functional,

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from rieszkit import MultiTensor, cli
 from rieszkit.fileformat import loads_spec
 
@@ -155,8 +157,51 @@ def test_replay_confirms_and_detects_tampering(tmp_path):
     tampered.write_text(json.dumps(obj))
     assert run("replay", tampered, fixture("t_diag.json")).returncode == 1
 
+    # a well-formed witness that does not verify is a failure, not an input error
+    obj = json.loads(report_path.read_text())
+    obj["witness"]["x"], obj["witness"]["y"] = obj["witness"]["y"], obj["witness"]["x"]
+    tampered.write_text(json.dumps(obj))
+    swapped = run("replay", tampered, fixture("t_diag.json"))
+    assert swapped.returncode == 1
+    assert b"[FAIL] witness-verifies" in swapped.stdout
+
     # digest mismatch: replay against a different file
     assert run("replay", report_path, fixture("t_single.json")).returncode == 2
+
+
+def _drop_digest(report):
+    del report["input_digest"]
+
+
+def _drop_perm(report):
+    del report["detail"]["args"]["perm"]
+
+
+def _empty_witness(report):
+    report["witness"] = {}
+
+
+def _zero_denominator(report):
+    report["witness"]["x"][0] = "1/0"
+
+
+@pytest.mark.parametrize(
+    "command, corrupt",
+    [
+        ("check-dp", _drop_digest),
+        ("arens", _drop_perm),
+        ("check-dp", _empty_witness),
+        ("check-dp", _zero_denominator),
+    ],
+)
+def test_replay_malformed_report_exits_2(tmp_path, command, corrupt):
+    report = json.loads(run(command, fixture("t_diag.json"), "--json").stdout)
+    corrupt(report)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    result = run("replay", path, fixture("t_diag.json"))
+    assert result.returncode == 2
+    assert b"Traceback" not in result.stderr
 
 
 def test_replay_covers_other_commands(tmp_path):

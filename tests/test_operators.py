@@ -5,14 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import rieszkit
 from rieszkit import (
     FinVector,
     LinOp,
     MultiTensor,
     NotDisjointnessPreserving,
     ShapeError,
-    canonical_embed,
     extend_from_positive_cone,
     factorize_multimorphism,
     sign_expansion_value,
@@ -23,7 +24,7 @@ from rieszkit.sampling import (
     random_vector,
 )
 
-from helpers import dp_oracle, modulus_oracle, rank_oracle
+from helpers import closure_basis_oracle, dp_oracle, modulus_oracle, rank_oracle
 
 F = Fraction
 
@@ -38,6 +39,11 @@ def tensor_2x2(a, b, c, d):
 
 
 # -- construction and arithmetic -------------------------------------------------
+
+
+def test_public_names_resolve():
+    for name in rieszkit.__all__:
+        assert hasattr(rieszkit, name), name
 
 
 def test_construction_validates():
@@ -258,6 +264,41 @@ def test_range_basis_is_disjoint_positive():
             assert b.is_positive() and not b.is_zero()
             for b2 in basis[i + 1 :]:
                 assert b.is_disjoint(b2)
+        # reduced echelon shape: each vector leads with a 1, in lead order
+        leads = [b.support()[0] for b in basis]
+        assert all(b[j] == 1 for b, j in zip(basis, leads))
+        assert leads == sorted(leads)
+
+
+@st.composite
+def tensors_with_multiple_rows(draw):
+    """Random tensors, some of whose output rows are +- multiples of others."""
+    m = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(m))
+    cod = draw(st.integers(1, 4))
+    keys = st.tuples(
+        st.integers(0, cod - 1), st.tuples(*(st.integers(0, d - 1) for d in dims))
+    )
+    values = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    entries = draw(st.dictionaries(keys, values, max_size=10))
+    for k in range(cod):
+        copy = draw(st.none() | st.tuples(st.integers(0, cod - 1), values))
+        if copy is None or copy[0] == k:
+            continue
+        source, c = copy
+        entries = {key: v for key, v in entries.items() if key[0] != k}
+        entries.update(
+            {(k, idx): c * v for (j, idx), v in entries.items() if j == source}
+        )
+    return MultiTensor(dims, cod, entries)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tensors_with_multiple_rows())
+def test_range_basis_matches_closure(t):
+    basis = t.range_sublattice_basis()
+    assert basis == closure_basis_oracle(t)
+    assert len(basis) == rank_oracle(t)
 
 
 # -- linear operators and biduals --------------------------------------------------
@@ -278,18 +319,8 @@ def test_second_adjoint_extends():
         t = random_tensor(rng, (3,), 3, density=0.6)
         op = LinOp.from_tensor(t)
         x = random_vector(rng, 3)
-        assert op.second_adjoint().apply(canonical_embed(x)) == canonical_embed(
-            op.apply(x)
-        )
+        assert op.second_adjoint().apply(x) == op.apply(x)
         assert op.second_adjoint().as_tensor() == op.as_tensor()
-
-
-def test_canonical_embed_is_lattice_map():
-    rng = random.Random(10)
-    for _ in range(30):
-        x, y = random_vector(rng, 4), random_vector(rng, 4)
-        assert canonical_embed(x.sup(y)) == canonical_embed(x).sup(canonical_embed(y))
-        assert canonical_embed(abs(x)) == abs(canonical_embed(x))
 
 
 # -- positive-cone extension -------------------------------------------------------

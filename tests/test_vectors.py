@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rieszkit import FinVector
+from rieszkit.report import vector_from_obj, vector_to_obj
 
 rationals = st.fractions(max_denominator=8)
 
@@ -111,6 +112,7 @@ def test_dimension_mismatch_rejected():
 
 def test_string_round_trip():
     x = FinVector(["-1/2", "0", "7"])
-    assert FinVector.from_strings(x.to_strings()) == x
+    assert vector_from_obj(vector_to_obj(x)) == x
+    assert vector_to_obj(x) == ["-1/2", "0", "7"]
     with pytest.raises(TypeError):
         FinVector([0.5])
