@@ -27,9 +27,8 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .operators import (
     DPVerdict,
@@ -278,8 +277,7 @@ def contract(x_bidual: FinVector, form: IntermediateForm) -> IntermediateForm:
     return IntermediateForm._derived(form.dims[1:], form.labels[1:], entries)
 
 
-@dataclass(frozen=True)
-class ArensResult:
+class ArensResult(NamedTuple):
     """Extension tensor for one permutation, with optional chain trace.
 
     ``trace`` maps each output coordinate to the permuted form followed by
@@ -371,8 +369,7 @@ def arens_evaluate(
     return FinVector(out)
 
 
-@dataclass(frozen=True)
-class DpPreservationReport:
+class DpPreservationReport(NamedTuple):
     """Per-permutation DP verdicts for every extension of a DP operator."""
 
     input_certificate: DPVerdict

@@ -3,9 +3,11 @@
 Subcommands ingest operator spec files, run the corresponding checks and
 print a report, human-readable by default or compact canonical JSON with
 --json. Exit codes: 0 when the checked property holds, 1 when it fails
-(the report then carries a witness), 2 on input errors. Reports are
-byte-identical across runs for the same input and seed; wall-clock time
-goes to stderr only.
+(the report then carries a witness), 2 on input errors, 3 on an
+unexpected internal error (one ``error:`` line on stderr, no report).
+Reports are byte-identical across runs for the same input and seed;
+wall-clock time goes to stderr only. The Arens and sequence-model modules
+are imported only by the subcommands that run them.
 """
 
 from __future__ import annotations
@@ -15,18 +17,16 @@ import json
 import random
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from .arens import (
-    Permutation,
-    all_permutations,
-    arens_extension,
-)
 from .fileformat import (
     SpecFileError,
     canonical_json,
+    decode_utf8,
     loads_spec,
     parse_seq,
     parse_spec,
+    read_bytes,
     seq_to_obj,
     tensor_to_obj,
 )
@@ -48,38 +48,23 @@ from .report import (
     witness_from_obj,
     witness_to_obj,
 )
-from .seqmodel import (
-    DiagBilinear,
-    EvConstSeq,
-    biadjoint_dp_check,
-    comp_apply,
-    comp_biadjoint,
-    diag_arens,
-    dual_basis_dp,
-    random_seq,
-    random_weighted_comp,
-    rank_lower_bound,
-    slotwise_dp_check,
-)
 
-
-def _read_file(path: str) -> bytes:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise SpecFileError(f"cannot read {path}: {exc}") from exc
+if TYPE_CHECKING:
+    from .arens import Permutation
+    from .seqmodel import EvConstSeq
 
 
 def _load_tensor(path: str) -> tuple[MultiTensor, str]:
-    data = _read_file(path)
-    spec = loads_spec(data.decode("utf-8"))
+    data = read_bytes(path)
+    spec = loads_spec(decode_utf8(data))
     if not isinstance(spec, MultiTensor):
         raise SpecFileError(f"{path} does not contain a tensor spec")
     return spec, input_digest(data)
 
 
 def _perm_choices(text: str, m: int) -> list[Permutation]:
+    from .arens import Permutation, all_permutations
+
     if text == "all":
         return list(all_permutations(m))
     if text in ("id", "identity"):
@@ -120,6 +105,8 @@ def _report_check_dp(tensor: MultiTensor, digest: str, args: dict) -> tuple[int,
 
 
 def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dict]:
+    from .arens import arens_extension
+
     perms = _perm_choices(args["perm"], tensor.m)
     with_trace = args["trace"]
     input_verdict = tensor.is_dp()
@@ -216,7 +203,7 @@ def _report_rank(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dic
         "rank",
         digest,
         [check("rank-computed", True, rank=len(basis))],
-        cost={"entries": tensor.nnz(), "atoms": len(tensor.atom_images())},
+        cost={"entries": tensor.nnz(), "atoms": len({idx for (_, idx), _ in tensor.items()})},
         detail={
             "rank": len(basis),
             "basis": [vector_to_obj(v) for v in basis],
@@ -227,6 +214,20 @@ def _report_rank(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dic
 
 
 def _report_seq_demo(weight: EvConstSeq, digest: str, args: dict) -> tuple[int, dict]:
+    from .seqmodel import (
+        DiagBilinear,
+        EvConstSeq,
+        biadjoint_dp_check,
+        comp_apply,
+        comp_biadjoint,
+        diag_arens,
+        dual_basis_dp,
+        random_seq,
+        random_weighted_comp,
+        rank_lower_bound,
+        slotwise_dp_check,
+    )
+
     seed = args["seed"]
     op = DiagBilinear(weight)
     checks: list[dict] = []
@@ -310,10 +311,12 @@ def _report_seq_demo(weight: EvConstSeq, digest: str, args: dict) -> tuple[int, 
 
 
 def _seq_demo_inputs(args) -> tuple[EvConstSeq, str, dict]:
+    from .seqmodel import EvConstSeq
+
     if args.weight_file:
-        data = _read_file(args.weight_file)
+        data = read_bytes(args.weight_file)
         try:
-            obj = json.loads(data.decode("utf-8"))
+            obj = json.loads(decode_utf8(data, "weight file"))
         except json.JSONDecodeError as exc:
             raise SpecFileError(f"invalid JSON: {exc}") from exc
         if isinstance(obj, dict) and obj.get("kind") == "diag-bilinear":
@@ -369,10 +372,9 @@ def _stored_witness_verifies(obj, tensor: MultiTensor) -> bool:
 
 
 def _run_replay(args) -> tuple[int, dict]:
-    raw = _read_file(args.report)
     try:
-        stored = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        stored = json.loads(decode_utf8(read_bytes(args.report), "report file"))
+    except json.JSONDecodeError as exc:
         raise SpecFileError(f"invalid report JSON: {exc}") from exc
     command, stored_digest, stored_args = _stored_fields(stored)
 
@@ -382,11 +384,11 @@ def _run_replay(args) -> tuple[int, dict]:
     else:
         if not args.spec:
             raise SpecFileError(f"replaying {command!r} needs the original spec file")
-        data = _read_file(args.spec)
+        data = read_bytes(args.spec)
         digest = input_digest(data)
         if digest != stored_digest:
             raise SpecFileError("spec file does not match the report's input digest")
-        spec = loads_spec(data.decode("utf-8"))
+        spec = loads_spec(decode_utf8(data))
         if not isinstance(spec, MultiTensor):
             raise SpecFileError("replay currently covers tensor commands and seq-demo")
         builders = {
@@ -484,6 +486,9 @@ def main(argv=None) -> int:
     except (SpecFileError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 means "property fails", so never let a crash say it
+        print(f"error: internal {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
+        return 3
     sys.stdout.write(report_json(report) if args.json else render_human(report))
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

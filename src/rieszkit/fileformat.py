@@ -14,10 +14,13 @@ compact canonical form instead (:func:`rieszkit.report.report_json`).
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .operators import MultiTensor
 from .rational import format_rational, parse_rational
-from .seqmodel import DiagBilinear, EvConstSeq, WeightedCompOp
+
+if TYPE_CHECKING:
+    from .seqmodel import DiagBilinear, EvConstSeq, WeightedCompOp
 
 FORMAT_VERSION = 1
 
@@ -29,6 +32,21 @@ _COMP_KEYS = {"format", "kind", "weight", "table", "shift"}
 
 class SpecFileError(ValueError):
     """Malformed spec file: bad JSON, bad schema, or out-of-range data."""
+
+
+def read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise SpecFileError(f"cannot read {path}: {exc}") from exc
+
+
+def decode_utf8(data: bytes, what: str = "spec file") -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{what} is not UTF-8 text: {exc}") from exc
 
 
 def canonical_json(obj) -> str:
@@ -126,6 +144,8 @@ def tensor_to_obj(tensor: MultiTensor) -> dict:
 
 
 def parse_seq(obj, what: str = "sequence") -> EvConstSeq:
+    from .seqmodel import EvConstSeq
+
     obj = _require_dict(obj, what)
     _check_keys(obj, _SEQ_KEYS, {"tail"}, what)
     exceptions = obj.get("exceptions", {})
@@ -148,6 +168,8 @@ def seq_to_obj(seq: EvConstSeq) -> dict:
 
 
 def parse_diag(obj) -> DiagBilinear:
+    from .seqmodel import DiagBilinear
+
     obj = _require_dict(obj, "diag-bilinear spec")
     _check_keys(obj, _DIAG_KEYS, {"kind", "weight"}, "diag-bilinear spec")
     _check_version(obj)
@@ -165,6 +187,8 @@ def diag_to_obj(op: DiagBilinear) -> dict:
 
 
 def parse_comp(obj) -> WeightedCompOp:
+    from .seqmodel import WeightedCompOp
+
     obj = _require_dict(obj, "weighted-comp spec")
     _check_keys(obj, _COMP_KEYS, {"kind", "weight"}, "weighted-comp spec")
     _check_version(obj)
@@ -214,6 +238,8 @@ def parse_spec(obj) -> MultiTensor | DiagBilinear | WeightedCompOp:
 def spec_to_obj(spec) -> dict:
     if isinstance(spec, MultiTensor):
         return tensor_to_obj(spec)
+    from .seqmodel import DiagBilinear, WeightedCompOp
+
     if isinstance(spec, DiagBilinear):
         return diag_to_obj(spec)
     if isinstance(spec, WeightedCompOp):
@@ -230,12 +256,7 @@ def loads_spec(text: str) -> MultiTensor | DiagBilinear | WeightedCompOp:
 
 
 def load_spec_file(path: str) -> MultiTensor | DiagBilinear | WeightedCompOp:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise SpecFileError(f"cannot read {path}: {exc}") from exc
-    return loads_spec(text)
+    return loads_spec(decode_utf8(read_bytes(path)))
 
 
 def dumps_spec(spec) -> str:

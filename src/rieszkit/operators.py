@@ -16,9 +16,8 @@ before it is returned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rational import as_fraction, ceil_fraction
 from .vectors import FinVector
@@ -42,8 +41,7 @@ class NotDisjointnessPreserving(ValueError):
         self.verdict = verdict
 
 
-@dataclass(frozen=True)
-class DPWitness:
+class DPWitness(NamedTuple):
     """Constructive evidence that an operator is not disjointness preserving.
 
     ``x`` and ``y`` are disjoint vectors for slot ``slot``; with the other
@@ -76,8 +74,7 @@ class DPWitness:
         return ix[k] != 0 and iy[k] != 0
 
 
-@dataclass(frozen=True)
-class DPVerdict:
+class DPVerdict(NamedTuple):
     """Outcome of the disjointness-preservation decision.
 
     Exactly one of ``certificate`` (positive answer: per output coordinate
@@ -89,8 +86,7 @@ class DPVerdict:
     witness: DPWitness | None
 
 
-@dataclass(frozen=True)
-class MultimorphismFactorization:
+class MultimorphismFactorization(NamedTuple):
     """Scalar DP form written as scale * x_1[c_1] * ... * x_m[c_m].
 
     By convention the whole scale is carried by the first coordinate

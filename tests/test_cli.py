@@ -4,11 +4,13 @@ import json
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 from rieszkit import MultiTensor, cli
 from rieszkit.fileformat import loads_spec
+from rieszkit.report import input_digest
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -47,6 +49,60 @@ def test_input_errors_exit_2(tmp_path):
     # sequence specs are not tensors
     assert run("check-dp", fixture("d_ones.json")).returncode == 2
     assert run("arens", fixture("t_single.json"), "--perm", "bogus").returncode == 2
+
+
+def test_non_utf8_inputs_exit_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte order mark
+    report = json.loads(run("check-dp", fixture("t_single.json"), "--json").stdout)
+    report["input_digest"] = input_digest(bad.read_bytes())  # so replay gets to decoding
+    stored = tmp_path / "report.json"
+    stored.write_text(json.dumps(report))
+    for args in (("check-dp", bad), ("replay", stored, bad), ("seq-demo", "--weight-file", bad)):
+        result = run(*args)
+        assert result.returncode == 2, args
+        assert b"Traceback" not in result.stderr, args
+
+
+def test_unexpected_error_exits_3(monkeypatch, capsys):
+    def crash(*args):
+        raise RuntimeError("handler crashed")
+
+    monkeypatch.setattr(cli, "_report_check_dp", crash)
+    assert cli.main(["check-dp", str(fixture("t_single.json")), "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: internal RuntimeError: handler crashed\n"
+
+
+def test_tensor_commands_import_only_what_they_run(tmp_path):
+    # Structural, not timed: start-up cost is the modules a process imports
+    # (and, without cached bytecode, compiles), so tensor subcommands must not
+    # pull in the Arens or sequence-model layers, or dataclasses' inspect chain.
+    report = tmp_path / "report.json"
+    report.write_bytes(run("check-dp", fixture("t_diag.json"), "--json").stdout)
+    argvs = [
+        ["check-dp", str(fixture("t_diag.json"))],
+        ["rank", str(fixture("t_vector_dp.json"))],
+        ["modulus", str(fixture("t_m3.json"))],
+        ["factorize", str(fixture("t_single.json"))],
+        ["replay", str(report), str(fixture("t_diag.json"))],
+    ]
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, json, sys
+        import rieszkit.cli
+        codes = []
+        for argv in {argvs!r}:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(rieszkit.cli.main(argv))
+        heavy = {{"rieszkit.arens", "rieszkit.seqmodel", "rieszkit.sampling", "dataclasses"}}
+        print(json.dumps({{"codes": codes, "loaded": sorted(heavy & set(sys.modules))}}))
+        """
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"codes": [1, 0, 0, 0, 0], "loaded": []}
 
 
 def test_reports_byte_identical():
@@ -112,6 +168,8 @@ def test_modulus_and_rank():
     assert rank0["detail"]["rank"] == 0
     rank2 = json.loads(run("rank", fixture("t_vector_dp.json"), "--json").stdout)
     assert rank2["detail"]["rank"] == 2
+    tensor = loads_spec(fixture("t_vector_dp.json").read_text())
+    assert rank2["cost"]["atoms"] == len(tensor.atom_images())
 
 
 def test_factorize_paths():

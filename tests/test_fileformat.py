@@ -139,3 +139,10 @@ def test_serialized_tensor_sorted():
 def test_missing_file_is_spec_error(tmp_path):
     with pytest.raises(SpecFileError):
         load_spec_file(str(tmp_path / "nope.json"))
+
+
+def test_non_utf8_file_is_spec_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(SpecFileError):
+        load_spec_file(str(path))

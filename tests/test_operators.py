@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,16 @@ def tensor_2x2(a, b, c, d):
 def test_public_names_resolve():
     for name in rieszkit.__all__:
         assert hasattr(rieszkit, name), name
+    # dir() lists exactly the exported names (submodules aside), loaded or not
+    public = {
+        name
+        for name in dir(rieszkit)
+        if not name.startswith("_") and not isinstance(getattr(rieszkit, name), types.ModuleType)
+    }
+    assert sorted(public | {"__version__"}) == sorted(rieszkit.__all__)
+    from rieszkit import cli
+
+    assert callable(cli.main)
 
 
 def test_construction_validates():
