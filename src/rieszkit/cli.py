@@ -78,11 +78,12 @@ def _perm_choices(text: str, m: int) -> list[Permutation]:
 
 
 def _form_obj(form) -> dict:
+    """Wire form of a trace form: each entry is [i_1, ..., i_k, "p/q"], 1-based."""
     return {
         "dims": list(form.dims),
         "slots": [l + 1 for l in form.labels],
         "entries": [
-            {"idx": [i + 1 for i in idx], "value": format_rational(v)}
+            [i + 1 for i in idx] + [format_rational(v)]
             for idx, v in sorted(form.entries.items())
         ],
     }

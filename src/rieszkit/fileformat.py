@@ -14,9 +14,11 @@ compact canonical form instead (:func:`rieszkit.report.report_json`).
 from __future__ import annotations
 
 import json
+import operator
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .operators import MultiTensor
+from .operators import MultiTensor, ShapeError, check_shape
 from .rational import format_rational, parse_rational
 
 if TYPE_CHECKING:
@@ -25,6 +27,8 @@ if TYPE_CHECKING:
 FORMAT_VERSION = 1
 
 _TENSOR_KEYS = {"format", "kind", "m", "domain_dims", "codomain_dim", "entries"}
+_ENTRY_KEYS = {"out", "idx", "value"}
+_INT_TYPE = {int}
 _SEQ_KEYS = {"exceptions", "tail"}
 _DIAG_KEYS = {"format", "kind", "weight"}
 _COMP_KEYS = {"format", "kind", "weight", "table", "shift"}
@@ -74,9 +78,19 @@ def _check_version(obj: dict) -> None:
         raise SpecFileError(f"unsupported format version {version!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _all_ints(items: list) -> bool:
+    # Plain ints, the only kind JSON yields, are told apart in C; bools
+    # and other int subclasses take the per-item test.
+    return set(map(type, items)) == _INT_TYPE or all(map(_is_int, items))
+
+
 def _int_field(obj: dict, key: str, what: str) -> int:
     value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise SpecFileError(f"{what}.{key} must be an integer, got {value!r}")
     return value
 
@@ -91,6 +105,13 @@ def _rational_field(value, what: str):
 
 
 def parse_tensor(obj) -> MultiTensor:
+    """Validate a tensor spec and build its tensor, in one pass over the entries.
+
+    The shape is checked first; then each entry gets its type, 1-based,
+    range and duplicate checks, and each distinct rational literal is
+    parsed once per file. Entries given as zero are checked like the
+    others and then dropped.
+    """
     obj = _require_dict(obj, "tensor spec")
     _check_keys(obj, _TENSOR_KEYS, {"m", "domain_dims", "codomain_dim", "entries"}, "tensor spec")
     _check_version(obj)
@@ -98,31 +119,48 @@ def parse_tensor(obj) -> MultiTensor:
         raise SpecFileError(f"kind {obj['kind']!r} does not describe a tensor")
     m = _int_field(obj, "m", "tensor spec")
     dims = obj["domain_dims"]
-    if not isinstance(dims, list) or len(dims) != m or not all(
-        isinstance(d, int) and not isinstance(d, bool) for d in dims
-    ):
+    if not isinstance(dims, list) or len(dims) != m or not _all_ints(dims):
         raise SpecFileError(f"domain_dims must be a list of {m} integers")
     codomain = _int_field(obj, "codomain_dim", "tensor spec")
     if not isinstance(obj["entries"], list):
         raise SpecFileError("entries must be a list")
-    rows = []
-    for pos, entry in enumerate(obj["entries"]):
-        entry = _require_dict(entry, f"entries[{pos}]")
-        _check_keys(entry, {"out", "idx", "value"}, {"out", "idx", "value"}, f"entries[{pos}]")
-        out = _int_field(entry, "out", f"entries[{pos}]")
-        idx = entry["idx"]
-        if not isinstance(idx, list) or len(idx) != m or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in idx
-        ):
-            raise SpecFileError(f"entries[{pos}].idx must be a list of {m} integers")
-        if out < 1 or any(i < 1 for i in idx):
-            raise SpecFileError(f"entries[{pos}]: indices are 1-based")
-        value = _rational_field(entry["value"], f"entries[{pos}].value")
-        rows.append((out - 1, tuple(i - 1 for i in idx), value))
+    dims = tuple(map(int, dims))
+    codomain = int(codomain)
     try:
-        return MultiTensor.from_rows(tuple(dims), codomain, rows)
-    except ValueError as exc:
+        check_shape(dims, codomain)
+    except ShapeError as exc:
         raise SpecFileError(str(exc)) from exc
+    entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    zeros: set[tuple[int, tuple[int, ...]]] = set()
+    literals: dict[str, Fraction] = {}
+    for pos, entry in enumerate(obj["entries"]):
+        if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
+            entry = _require_dict(entry, f"entries[{pos}]")
+            _check_keys(entry, _ENTRY_KEYS, _ENTRY_KEYS, f"entries[{pos}]")
+        out = entry["out"]
+        if type(out) is not int:  # the message is built only off the common path
+            out = _int_field(entry, "out", f"entries[{pos}]")
+        idx = entry["idx"]
+        if not isinstance(idx, list) or len(idx) != m or not _all_ints(idx):
+            raise SpecFileError(f"entries[{pos}].idx must be a list of {m} integers")
+        if out < 1 or min(idx) < 1:
+            raise SpecFileError(f"entries[{pos}]: indices are 1-based")
+        raw = entry["value"]
+        value = literals.get(raw) if isinstance(raw, str) else None
+        if value is None:
+            value = literals[raw] = _rational_field(raw, f"entries[{pos}].value")
+        key = (out - 1, tuple([i - 1 for i in idx]))
+        if key in entries or key in zeros:
+            raise SpecFileError(f"duplicate entry for out={key[0]}, idx={key[1]}")
+        if out > codomain:
+            raise SpecFileError(f"output coordinate {key[0]} out of range 0..{codomain - 1}")
+        if not all(map(operator.le, idx, dims)):
+            raise SpecFileError(f"index tuple {key[1]} out of range for dims {dims}")
+        if value:
+            entries[key] = value
+        else:
+            zeros.add(key)
+    return MultiTensor._derived(dims, codomain, entries)
 
 
 def tensor_to_obj(tensor: MultiTensor) -> dict:

@@ -26,6 +26,7 @@ MAX_ARITY = 4
 MAX_DIM = 16
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ShapeError(ValueError):
@@ -39,6 +40,16 @@ class NotDisjointnessPreserving(ValueError):
     def __init__(self, verdict: "DPVerdict") -> None:
         super().__init__("operator does not preserve disjointness")
         self.verdict = verdict
+
+
+def check_shape(domain_dims: tuple[int, ...], codomain_dim: int) -> None:
+    """Raise :class:`ShapeError` unless the shape is within the kernel's bounds."""
+    if not 1 <= len(domain_dims) <= MAX_ARITY:
+        raise ShapeError(f"arity must be between 1 and {MAX_ARITY}, got {len(domain_dims)}")
+    if any(d < 1 or d > MAX_DIM for d in domain_dims):
+        raise ShapeError(f"domain dims must lie in 1..{MAX_DIM}: {domain_dims}")
+    if not 1 <= codomain_dim <= MAX_DIM:
+        raise ShapeError(f"codomain dim must lie in 1..{MAX_DIM}: {codomain_dim}")
 
 
 class DPWitness(NamedTuple):
@@ -122,12 +133,7 @@ class MultiTensor:
         entries: Mapping[tuple[int, tuple[int, ...]], object],
     ) -> None:
         dims = tuple(int(d) for d in domain_dims)
-        if not 1 <= len(dims) <= MAX_ARITY:
-            raise ShapeError(f"arity must be between 1 and {MAX_ARITY}, got {len(dims)}")
-        if any(d < 1 or d > MAX_DIM for d in dims):
-            raise ShapeError(f"domain dims must lie in 1..{MAX_DIM}: {dims}")
-        if not 1 <= codomain_dim <= MAX_DIM:
-            raise ShapeError(f"codomain dim must lie in 1..{MAX_DIM}: {codomain_dim}")
+        check_shape(dims, codomain_dim)
         self._dims = dims
         self._cod = int(codomain_dim)
         clean: dict[tuple[int, tuple[int, ...]], Fraction] = {}
@@ -242,17 +248,16 @@ class MultiTensor:
         for i, (x, d) in enumerate(zip(args, self._dims)):
             if x.dim != d:
                 raise ShapeError(f"slot {i}: argument dim {x.dim}, expected {d}")
+        # Per slot, the argument's nonzero coordinates by position. An entry
+        # whose index leaves some slot's support contributes nothing, and
+        # is skipped by lookups alone, before any Fraction arithmetic.
+        support = [{pos: c for pos, c in enumerate(x) if c} for x in args]
         acc = [_ZERO] * self._cod
         for (k, idx), value in self._entries.items():
-            term = value
-            for i, pos in enumerate(idx):
-                c = args[i][pos]
-                if c == 0:
-                    term = _ZERO
-                    break
-                term *= c
-            if term != 0:
-                acc[k] += term
+            if all(map(dict.__contains__, support, idx)):
+                for c in map(dict.__getitem__, support, idx):
+                    value *= c
+                acc[k] += value
         return FinVector(acc)
 
     # -- entrywise lattice structure ------------------------------------------
@@ -327,14 +332,21 @@ class MultiTensor:
         """Decide disjointness preservation.
 
         The operator preserves disjointness exactly when every output
-        coordinate reads at most one index tuple. A second tuple in some
-        slice yields a witness: put the two differing atoms in the slot
-        where the tuples disagree and a generic strictly positive vector
-        everywhere else. The generic coefficients are powers of a single
-        integer t with exponents that encode the index tuple positionally,
-        so distinct tuples can never cancel, and t is taken beyond the
-        largest root any such slice polynomial can have. The witness is
-        re-verified by evaluation before being returned.
+        coordinate reads at most one index tuple. Otherwise take the two
+        smallest tuples s and s2 of the first slice with two, and the first
+        slot where they differ: x and y are the atoms of s and s2 there.
+        Every other slot i is fixed to the atom e_{s_i} when s and s2 agree
+        in it, and to e_{s_i} + t^(2^p) e_{s2_i} when they differ, with p
+        numbering those slots. Each image coordinate is then a polynomial
+        in t with at most 2^(m-1) monomials, one per choice of s_i or s2_i
+        in the differing slots, so no two tuples share a power of t. The
+        image of x has constant coefficient A[k, s] and that of y top
+        coefficient A[k, s2], both nonzero, and t is taken beyond the root
+        bound of the slice entries in those supports, so both images are
+        nonzero at k. When s and s2 differ in one slot only, the whole
+        witness is 0/1 vectors. Either way its size is bounded by m and
+        the entries, never by the dimensions. The witness is re-verified
+        by evaluation before being returned.
         """
         slices = self.slices()
         offending = None
@@ -350,25 +362,18 @@ class MultiTensor:
             return DPVerdict(True, certificate, None)
 
         k = offending
-        tuples = sorted(slices[k])
-        s, s2 = tuples[0], tuples[1]
+        s, s2 = sorted(slices[k])[:2]
         slot = next(i for i in range(self.m) if s[i] != s2[i])
         witness = self._build_witness(k, slot, s, s2, slices[k])
         if not witness.verify(self):
             raise AssertionError("internal error: constructed witness failed to verify")
         return DPVerdict(False, None, witness)
 
-    def _generic_ratio(self, slice_values: Iterable[Fraction]) -> int:
-        total = _ZERO
-        smallest: Fraction | None = None
-        for v in slice_values:
-            a = abs(v)
-            total += a
-            if smallest is None or a < smallest:
-                smallest = a
-        if smallest is None or smallest == 0:
-            return 2
-        return 1 + ceil_fraction(total / smallest)
+    def _generic_ratio(self, values: Iterable[Fraction]) -> int:
+        """An integer beyond the Cauchy root bound of any polynomial whose
+        nonzero coefficients are among ``values`` (at least one, all nonzero)."""
+        moduli = [abs(v) for v in values]
+        return 1 + ceil_fraction(sum(moduli) / min(moduli))
 
     def _build_witness(
         self,
@@ -378,14 +383,24 @@ class MultiTensor:
         s2: tuple[int, ...],
         slice_entries: Mapping[tuple[int, ...], Fraction],
     ) -> DPWitness:
-        t = self._generic_ratio(slice_entries.values())
-        base = max(self._dims) + 1
-        others = [i for i in range(self.m) if i != slot]
+        # Only the at most 2^m slice tuples inside the supports reach the
+        # images at out_coord, so only their entries bound the roots.
+        t = self._generic_ratio(
+            slice_entries[idx]
+            for idx in itertools.product(*({a, b} for a, b in zip(s, s2)))
+            if idx in slice_entries
+        )
         fixed = []
-        for pos, i in enumerate(others):
-            d = self._dims[i]
-            coeffs = [Fraction(t ** ((r + 1) * base**pos)) for r in range(d)]
-            fixed.append((i, FinVector(coeffs)))
+        p = 0
+        for i, d in enumerate(self._dims):
+            if i == slot:
+                continue
+            coords = [_ZERO] * d
+            coords[s[i]] = _ONE
+            if s2[i] != s[i]:
+                coords[s2[i]] = Fraction(t ** (2**p))
+                p += 1
+            fixed.append((i, FinVector(coords)))
         x = FinVector.atom(self._dims[slot], s[slot])
         y = FinVector.atom(self._dims[slot], s2[slot])
 

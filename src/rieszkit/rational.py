@@ -24,8 +24,34 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p/q", or just "p" when the denominator is 1."""
-    return str(value)
+    """Render a Fraction as "p/q", or just "p" when the denominator is 1.
+
+    Exact at any size, whatever the interpreter's int-to-str digit limit
+    (``sys.set_int_max_str_digits``); reading such a string back with
+    :func:`parse_rational` still obeys that limit.
+    """
+    try:
+        return str(value)
+    except ValueError:  # a part has more digits than the limit allows
+        text = _decimal(value.numerator)
+        if value.denominator == 1:
+            return text
+        return f"{text}/{_decimal(value.denominator)}"
+
+
+# 2**1700 < 10**512, and CPython lets no digit limit be set below 640.
+_DIRECT_BITS = 1700
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of n, split into halves until str() may convert them."""
+    if n.bit_length() <= _DIRECT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    low_digits = int(n.bit_length() * 0.30103) // 2
+    high, low = divmod(n, 10**low_digits)
+    return _decimal(high) + _decimal(low).zfill(low_digits)
 
 
 def as_fraction(value) -> Fraction:

@@ -7,7 +7,9 @@ image disjointness by evaluation; rank_oracle counts rays of the
 atom-image matrix; closure_basis_oracle closes the span of the atom
 images under suprema until it stops growing; modulus_oracle recomputes
 the least majorant pointwise; arens_reference runs the extension chain
-one validated form per node.
+one validated form per node; parse_tensor_reference parses a tensor spec
+with a check per entry, then MultiTensor.from_rows and the validating
+constructor.
 """
 
 from __future__ import annotations
@@ -25,6 +27,14 @@ from rieszkit import (
     all_permutations,
     contract,
     permute_form,
+)
+from rieszkit.fileformat import (
+    SpecFileError,
+    _check_keys,
+    _check_version,
+    _int_field,
+    _rational_field,
+    _require_dict,
 )
 from rieszkit.sampling import random_tensor
 
@@ -299,3 +309,45 @@ def slot_asymmetric_tensor(
         ]
         if len(set(signatures)) == len(signatures):
             return tensor
+
+
+def parse_tensor_reference(obj) -> MultiTensor:
+    """Tensor spec parsing by the validating route.
+
+    Each entry is checked on its own, then MultiTensor.from_rows rejects
+    duplicates and MultiTensor() checks the shape, the ranges and drops
+    zero values; its messages are the ones the one-pass parser must keep.
+    """
+    obj = _require_dict(obj, "tensor spec")
+    _check_keys(obj, {"format", "kind", "m", "domain_dims", "codomain_dim", "entries"},
+                {"m", "domain_dims", "codomain_dim", "entries"}, "tensor spec")
+    _check_version(obj)
+    if obj.get("kind", "tensor") != "tensor":
+        raise SpecFileError(f"kind {obj['kind']!r} does not describe a tensor")
+    m = _int_field(obj, "m", "tensor spec")
+    dims = obj["domain_dims"]
+    if not isinstance(dims, list) or len(dims) != m or not all(
+        isinstance(d, int) and not isinstance(d, bool) for d in dims
+    ):
+        raise SpecFileError(f"domain_dims must be a list of {m} integers")
+    codomain = _int_field(obj, "codomain_dim", "tensor spec")
+    if not isinstance(obj["entries"], list):
+        raise SpecFileError("entries must be a list")
+    rows = []
+    for pos, entry in enumerate(obj["entries"]):
+        entry = _require_dict(entry, f"entries[{pos}]")
+        _check_keys(entry, {"out", "idx", "value"}, {"out", "idx", "value"}, f"entries[{pos}]")
+        out = _int_field(entry, "out", f"entries[{pos}]")
+        idx = entry["idx"]
+        if not isinstance(idx, list) or len(idx) != m or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in idx
+        ):
+            raise SpecFileError(f"entries[{pos}].idx must be a list of {m} integers")
+        if out < 1 or any(i < 1 for i in idx):
+            raise SpecFileError(f"entries[{pos}]: indices are 1-based")
+        value = _rational_field(entry["value"], f"entries[{pos}].value")
+        rows.append((out - 1, tuple(i - 1 for i in idx), value))
+    try:
+        return MultiTensor.from_rows(tuple(dims), codomain, rows)
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from exc

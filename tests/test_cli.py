@@ -2,15 +2,18 @@
 
 import json
 import pathlib
+import random
+import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction as F
 
 import pytest
 
-from rieszkit import MultiTensor, cli
+from rieszkit import MultiTensor, Permutation, arens_extension, cli, parse_rational
 from rieszkit.fileformat import loads_spec
-from rieszkit.report import input_digest
+from rieszkit.report import input_digest, witness_from_obj
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -115,6 +118,30 @@ def test_reports_byte_identical():
     assert first.stdout.decode() == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@pytest.mark.parametrize("name", ["t_m3.json", "t_m4.json"])
+def test_trace_wire_format(name):
+    # each trace form entry is [i_1, ..., i_k, "p/q"] with 1-based indices
+    report = json.loads(run("arens", fixture(name), "--perm", "all", "--trace", "--json").stdout)
+    tensor = loads_spec(fixture(name).read_text())
+    for extension in report["detail"]["extensions"]:
+        rho = Permutation([i - 1 for i in extension["perm"]])
+        decoded = {
+            int(k) - 1: [
+                (
+                    tuple(form["dims"]),
+                    tuple(l - 1 for l in form["slots"]),
+                    {tuple(i - 1 for i in e[:-1]): parse_rational(e[-1]) for e in form["entries"]},
+                )
+                for form in chain
+            ]
+            for k, chain in extension["trace"].items()
+        }
+        expected = arens_extension(tensor, rho, with_trace=True).trace
+        assert decoded == {
+            k: [(f.dims, f.labels, f.entries) for f in chain] for k, chain in expected.items()
+        }
+
+
 def test_arens_perm_selection():
     theta = run("arens", fixture("t_vector_dp.json"), "--perm", "theta", "--json")
     cycled = run("arens", fixture("t_vector_dp.json"), "--perm", "(1 2)", "--json")
@@ -150,6 +177,54 @@ def test_arens_decides_dp_once_per_distinct_extension(monkeypatch):
     extensions = report["detail"]["extensions"]
     assert len(extensions) == 2
     assert all(e["dp"] is False for e in extensions)
+
+
+def _non_dp_16x4_spec(seed: int) -> dict:
+    """3,000 entries on 16^4 -> 1 whose two smallest tuples differ in every slot."""
+    rng = random.Random(seed)
+    entries = {(1, 16, 16, 16): F(rng.randint(1, 9), rng.randint(1, 4))}
+    while len(entries) < 3000:
+        idx = (rng.randint(2, 16), *(rng.randint(1, 16) for _ in range(3)))
+        entries[idx] = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+    return {
+        "m": 4,
+        "domain_dims": [16] * 4,
+        "codomain_dim": 1,
+        "entries": [
+            {"out": 1, "idx": list(idx), "value": str(v)} for idx, v in entries.items()
+        ],
+    }
+
+
+def _int_bits(obj) -> list[int]:
+    """Bit lengths of every integer in a report: JSON numbers and p/q parts."""
+    if isinstance(obj, dict):
+        return [b for v in obj.values() for b in _int_bits(v)]
+    if isinstance(obj, list):
+        return [b for v in obj for b in _int_bits(v)]
+    if isinstance(obj, int):
+        return [abs(obj).bit_length()]
+    if isinstance(obj, str) and re.fullmatch(r"-?\d+(/\d+)?", obj):
+        return [int(part).bit_length() for part in obj.lstrip("-").split("/")]
+    return []
+
+
+def test_non_dp_16x4_witness_is_small(tmp_path):
+    # Full-support witnesses of a 16^4 tensor ran to tens of thousands of
+    # bits and past the int-to-str limit (exit 3); the bounded witness
+    # stays a few bits wide and replays.
+    spec = tmp_path / "nondp.json"
+    spec.write_text(json.dumps(_non_dp_16x4_spec(16)))
+    tensor = loads_spec(spec.read_text())
+    for args in (["check-dp"], ["factorize"], ["arens", "--perm", "all", "--trace"]):
+        result = run(args[0], spec, *args[1:], "--json")
+        assert result.returncode == 1, (args, result.stderr)
+        report = json.loads(result.stdout)
+        assert witness_from_obj(report["witness"]).verify(tensor)
+        assert max(_int_bits(report)) < 64
+        stored = tmp_path / f"{args[0]}.report.json"
+        stored.write_bytes(result.stdout)
+        assert run("replay", stored, spec).returncode == 0, args
 
 
 def test_arens_restriction_visible_in_report():

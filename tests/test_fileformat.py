@@ -2,10 +2,11 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 
-from rieszkit import EvConstSeq, MultiTensor
+from rieszkit import EvConstSeq, MultiTensor, cli
 from rieszkit.fileformat import (
     SpecFileError,
     canonical_json,
@@ -17,6 +18,8 @@ from rieszkit.fileformat import (
     seq_to_obj,
     spec_to_obj,
 )
+
+from helpers import parse_tensor_reference
 
 FIXTURES = sorted(pathlib.Path(__file__).parent.glob("fixtures/*.json"))
 
@@ -146,3 +149,132 @@ def test_non_utf8_file_is_spec_error(tmp_path):
     path.write_bytes(b"\xff\xfe{}")
     with pytest.raises(SpecFileError):
         load_spec_file(str(path))
+
+
+def _spec(**changes):
+    """A valid 2 x 3 -> 2 tensor spec with one entry changed per fault."""
+    spec = {
+        "m": 2,
+        "domain_dims": [2, 3],
+        "codomain_dim": 2,
+        "entries": [
+            {"out": 1, "idx": [1, 2], "value": "1/2"},
+            {"out": 2, "idx": [2, 3], "value": "-3"},
+        ],
+    }
+    entry = changes.pop("entry", None)
+    if entry is not None:
+        spec["entries"][1] = entry(dict(spec["entries"][1]))
+    spec.update(changes)
+    return spec
+
+
+def _without(key):
+    def change(entry):
+        del entry[key]
+        return entry
+
+    return change
+
+
+def _with(**fields):
+    return lambda entry: {**entry, **fields}
+
+
+SINGLE_FAULTS = {
+    "non-dict entry": (_spec(entry=lambda e: [2, [2, 3], "-3"]), "entries[1] must be a JSON object, got list"),
+    "extra key": (_spec(entry=_with(extra=1)), "unknown keys in entries[1]: ['extra']"),
+    "missing key": (_spec(entry=_without("value")), "missing keys in entries[1]: ['value']"),
+    "bool out": (_spec(entry=_with(out=True)), "entries[1].out must be an integer, got True"),
+    "string out": (_spec(entry=_with(out="2")), "entries[1].out must be an integer, got '2'"),
+    "short idx": (_spec(entry=_with(idx=[2])), "entries[1].idx must be a list of 2 integers"),
+    "float idx": (_spec(entry=_with(idx=[2, 3.0])), "entries[1].idx must be a list of 2 integers"),
+    "bool idx": (_spec(entry=_with(idx=[2, True])), "entries[1].idx must be a list of 2 integers"),
+    "idx not a list": (_spec(entry=_with(idx="23")), "entries[1].idx must be a list of 2 integers"),
+    "0-based out": (_spec(entry=_with(out=0)), "entries[1]: indices are 1-based"),
+    "0-based idx": (_spec(entry=_with(idx=[0, 3])), "entries[1]: indices are 1-based"),
+    "out past codomain": (_spec(entry=_with(out=3)), "output coordinate 2 out of range 0..1"),
+    "idx past dim": (_spec(entry=_with(idx=[2, 4])), "index tuple (1, 3) out of range for dims (2, 3)"),
+    "duplicate": (_spec(entry=_with(out=1, idx=[1, 2])), "duplicate entry for out=0, idx=(0, 1)"),
+    "duplicate of a zero": (
+        _spec(
+            entries=[
+                {"out": 1, "idx": [1, 2], "value": "0"},
+                {"out": 1, "idx": [1, 2], "value": "2"},
+            ]
+        ),
+        "duplicate entry for out=0, idx=(0, 1)",
+    ),
+    "decimal value": (
+        _spec(entry=_with(value="0.5")),
+        "entries[1].value: not a rational literal of the form p/q: '0.5'",
+    ),
+    "number value": (_spec(entry=_with(value=3)), "entries[1].value must be a rational string, got 3"),
+    "arity 5": (
+        _spec(m=5, domain_dims=[2] * 5, entries=[]),
+        "arity must be between 1 and 4, got 5",
+    ),
+    "arity 0": (_spec(m=0, domain_dims=[], entries=[]), "arity must be between 1 and 4, got 0"),
+    "dims length": (_spec(domain_dims=[2]), "domain_dims must be a list of 2 integers"),
+    "dim 17": (_spec(domain_dims=[2, 17]), "domain dims must lie in 1..16: (2, 17)"),
+    "dim 0": (_spec(domain_dims=[0, 3], entries=[]), "domain dims must lie in 1..16: (0, 3)"),
+    "codomain 0": (_spec(codomain_dim=0), "codomain dim must lie in 1..16: 0"),
+    "codomain 17": (_spec(codomain_dim=17), "codomain dim must lie in 1..16: 17"),
+    "entries not a list": (_spec(entries={}), "entries must be a list"),
+}
+
+
+@pytest.mark.parametrize("spec, message", SINGLE_FAULTS.values(), ids=SINGLE_FAULTS)
+def test_single_fault_message(tmp_path, capsys, spec, message):
+    with pytest.raises(SpecFileError) as direct:
+        parse_tensor(spec)
+    assert str(direct.value) == message
+    with pytest.raises(SpecFileError) as reference:
+        parse_tensor_reference(spec)
+    assert str(reference.value) == message
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["check-dp", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _parse_both(obj):
+    """parse_tensor and the validating route: equal tensors or equal errors."""
+    outcomes = []
+    for parse in (parse_tensor, parse_tensor_reference):
+        try:
+            outcomes.append(parse(obj))
+        except SpecFileError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_parse_matches_validating_route_on_fixtures(path):
+    fast, reference = _parse_both(json.loads(path.read_text()))
+    assert fast == reference
+
+
+def test_parse_matches_validating_route_on_random_specs():
+    rng = random.Random(21)
+    literals = ["0", "-0", "0/7", "1", "-1", "2/4", "-9/4", "7/3", "+5", "12/8"]
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        dims = [rng.randint(1, 5) for _ in range(m)]
+        cod = rng.randint(1, 3)
+        positions = {
+            (rng.randint(1, cod), tuple(rng.randint(1, d) for d in dims))
+            for _ in range(rng.randint(0, 30))
+        }
+        spec = {
+            "m": m,
+            "domain_dims": dims,
+            "codomain_dim": cod,
+            "entries": [
+                {"out": out, "idx": list(idx), "value": rng.choice(literals)}
+                for out, idx in sorted(positions)
+            ],
+        }
+        fast, reference = _parse_both(spec)
+        assert isinstance(fast, MultiTensor) and fast == reference
+        assert fast.rows() == reference.rows()

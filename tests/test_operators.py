@@ -224,6 +224,75 @@ def test_dp_stable_under_atom_fixings():
                 assert fixed.is_dp().is_dp
 
 
+def test_witness_ratio_reads_only_the_supports():
+    # t bounds the roots of the images at out_coord, which only the slice
+    # tuples inside the fixed supports reach; the other 200 entries,
+    # however large, must not inflate it.
+    entries = {(0, (0, 0)): F(1), (0, (1, 1)): F(1)}
+    entries.update({(0, (i, j)): F(1000) for i in range(2, 16) for j in range(2, 16)})
+    w = MultiTensor((16, 16), 1, entries).is_dp().witness
+    assert w.fixed == ((1, FinVector([1, 3] + [0] * 14)),)
+    assert (w.image_x, w.image_y) == (FinVector([1]), FinVector([3]))
+
+
+@st.composite
+def non_dp_tensors(draw):
+    """Sparse tensors up to the kernel's bounds with two tuples in one slice."""
+    m = draw(st.integers(1, 4))
+    dims = tuple(draw(st.integers(1, 16)) for _ in range(m))
+    if all(d == 1 for d in dims):
+        dims = (2,) + dims[1:]
+    cod = draw(st.integers(1, 3))
+    tuples = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    values = st.builds(
+        F, st.integers(-1000, 1000).filter(bool), st.integers(1, 50)
+    )
+    entries = draw(
+        st.dictionaries(st.tuples(st.integers(0, cod - 1), tuples), values, max_size=40)
+    )
+    k = draw(st.integers(0, cod - 1))
+    for idx in draw(st.lists(tuples, min_size=2, max_size=2, unique=True)):
+        entries[(k, idx)] = draw(values)
+    return MultiTensor(dims, cod, entries)
+
+
+def _bits(vectors) -> int:
+    return max(
+        max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+        for v in vectors
+        for c in v
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(non_dp_tensors())
+def test_witness_size_bounded_by_input(t):
+    w = t.is_dp().witness
+    assert w is not None and w.verify(t)
+    for atom in (w.x, w.y):
+        (pos,) = atom.support()
+        assert atom[pos] == 1
+    assert all(len(v.support()) <= 2 for _, v in w.fixed)
+    # t is the least fixed coefficient other than 1 (unused when every
+    # fixed vector is an atom). It exceeds the root bound of at most 2^m
+    # entries, so bits(t) <= m + N + D + 1, with N and D the largest
+    # numerator and denominator bit lengths of the entries.
+    m = t.m
+    num = max(abs(v.numerator).bit_length() for _, _, v in t.rows())
+    den = max(v.denominator.bit_length() for _, _, v in t.rows())
+    ratio = min((c for _, v in w.fixed for c in v if c > 1), default=None)
+    t_bits = 0 if ratio is None else ratio.numerator.bit_length()
+    assert ratio is None or ratio.denominator == 1
+    assert t_bits <= m + num + den + 1
+    # Each image coordinate sums at most L = 2^(m-1) entries times powers
+    # t^e with e <= L - 1: its denominator divides the product of L entry
+    # denominators, and its numerator is below L * 2^N * 2^(L*D) * t^(L-1).
+    # Nothing here depends on the dimensions.
+    terms = 2 ** (m - 1)
+    bound = (m - 1) + num + terms * den + (terms - 1) * t_bits
+    assert _bits([w.x, w.y, w.image_x, w.image_y, *(v for _, v in w.fixed)]) <= bound
+
+
 # -- rank ------------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,3 +34,20 @@ def test_as_fraction_refuses_floats():
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(TypeError):
         as_fraction(0.5)
+
+
+def test_format_ignores_digit_limit():
+    # Witness coordinates can outgrow the interpreter's int-to-str limit; the
+    # wire form must stay exact and must not depend on that global setting.
+    value = Fraction(7**3000, 3)
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = str(value)
+        sys.set_int_max_str_digits(640)
+        assert format_rational(value) == expected
+        assert format_rational(-value) == "-" + expected
+        assert format_rational(Fraction(3, 7**3000)) == "3/" + expected.split("/")[0]
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(previous)
