@@ -47,17 +47,16 @@ _EXPORTS = {
         "DiagBilinear",
         "EvConstSeq",
         "WeightedCompOp",
-        "biadjoint_dp_check",
         "comp_adjoint",
         "comp_apply",
         "comp_biadjoint",
+        "comp_rows",
         "diag_apply",
         "diag_arens",
         "diag_arens_pair",
-        "dual_basis_dp",
+        "diag_lattice_rank",
         "pair",
-        "rank_lower_bound",
-        "slotwise_dp_check",
+        "reads_one_coordinate",
     ),
     "vectors": ("FinVector",),
 }

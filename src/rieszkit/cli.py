@@ -4,7 +4,8 @@ Subcommands ingest operator spec files, run the corresponding checks and
 print a report, human-readable by default or compact canonical JSON with
 --json. Exit codes: 0 when the checked property holds, 1 when it fails
 (the report then carries a witness), 2 on input errors, 3 on an
-unexpected internal error (one ``error:`` line on stderr, no report).
+unexpected internal error (one ``error:`` line on stderr, no report), 4
+when the report cannot be written because stdout is closed or fails.
 Reports are byte-identical across runs for the same input and seed;
 wall-clock time goes to stderr only. The Arens and sequence-model modules
 are imported only by the subcommands that run them.
@@ -13,7 +14,6 @@ are imported only by the subcommands that run them.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 from .fileformat import (
     SpecFileError,
     canonical_json,
+    decode_json,
     decode_utf8,
     loads_spec,
     parse_seq,
@@ -36,7 +37,7 @@ from .operators import (
     ShapeError,
     factorize_multimorphism,
 )
-from .rational import format_rational
+from .rational import DigitLimitError, format_rational
 from .report import (
     build_report,
     certificate_to_obj,
@@ -215,100 +216,81 @@ def _report_rank(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dic
 
 
 def _report_seq_demo(weight: EvConstSeq, digest: str, args: dict) -> tuple[int, dict]:
-    from .seqmodel import (
-        DiagBilinear,
-        EvConstSeq,
-        biadjoint_dp_check,
-        comp_apply,
-        comp_biadjoint,
-        diag_arens,
-        dual_basis_dp,
-        random_seq,
-        random_weighted_comp,
-        rank_lower_bound,
-        slotwise_dp_check,
-    )
+    """The paper's theorem on the c0 model, for the diagonal map of ``weight``.
 
-    seed = args["seed"]
-    op = DiagBilinear(weight)
-    checks: list[dict] = []
+    The DP checks and the lattice rank are decided exactly over finite
+    patterns; only the two seeded probe suites, closed form against
+    definition, can fail, and the first disagreement is the witness.
+    """
+    from . import seqmodel as sm
+
+    probes = 0
     witness = None
 
-    def fail(name: str, message: str, **extra) -> None:
-        nonlocal witness
-        checks.append(check(name, False, error=message, **extra))
-        if witness is None:
-            witness = {"check": name, "error": message}
+    def agrees(name: str, pairs) -> bool:
+        nonlocal probes, witness
+        for index, got, expected in pairs:
+            probes += 1
+            if got != expected:
+                got, expected = format_rational(got), format_rational(expected)
+                witness = witness or {"check": name, "index": index, "got": got, "expected": expected}
+                return False
+        return True
 
+    seed = args["seed"]
     rng = random.Random(seed)
-    agree = True
-    for _ in range(50):
-        trial = DiagBilinear(random_seq(rng))
-        try:
-            diag_arens(trial, random_seq(rng), random_seq(rng))
-        except RuntimeError as exc:
-            fail("diag-extension-agrees", str(exc), samples=50)
-            agree = False
-            break
-    if agree:
-        checks.append(check("diag-extension-agrees", True, samples=50))
-
-    rng = random.Random(seed + 1)
-    bad = next(
-        (
-            i
-            for i in range(5)
-            if not biadjoint_dp_check(random_weighted_comp(rng), samples=50, seed=seed + i)
-        ),
-        None,
+    extension_ok = all(
+        agrees(
+            "diag-extension-agrees",
+            sm.diag_probe_pairs(sm.DiagBilinear(sm.random_seq(rng)), sm.random_seq(rng), sm.random_seq(rng)),
+        )
+        for _ in range(50)
     )
-    if bad is None:
-        checks.append(check("biadjoint-dp", True, operators=5, samples=50))
+    rng = random.Random(seed + 1)
+    biadjoint_rows = [row for _ in range(5) for row in sm.comp_rows(sm.random_weighted_comp(rng))]
+    rank, indices = sm.diag_lattice_rank(sm.DiagBilinear(weight))
+    if rank is None:  # infinitely many disjoint range elements: the dual basis carries it
+        rank_check = check("rank", True, disjoint=[indices[0], indices[-1]], hypothesis="dual-basis")
     else:
-        fail("biadjoint-dp", f"operator {bad} produced non-disjoint images")
-
-    if dual_basis_dp(limit=32, samples=50, seed=seed):
-        checks.append(check("dual-basis-dp", True, atoms=32))
-    else:
-        fail("dual-basis-dp", "some coordinate functional failed on a disjoint pair")
-
-    try:
-        value = rank_lower_bound(op, 32)
-        if value == 32:
-            checks.append(check("rank-lower-bound", True, atoms=32))
-        else:
-            fail("rank-lower-bound", f"certificate collapsed to {value}")
-    except ValueError as exc:
-        fail("rank-lower-bound", str(exc))
-
-    if slotwise_dp_check(op, EvConstSeq.constant(1), samples=25, seed=seed):
-        checks.append(check("slotwise-dp", True, samples=25))
-    else:
-        fail("slotwise-dp", "extension broke disjointness with one slot frozen")
-
+        rank_check = check("rank", True, basis=indices, hypothesis="finite-rank", rank=rank)
+    checks = [
+        check("diag-extension-agrees", extension_ok, samples=50),
+        check("biadjoint-dp", sm.reads_one_coordinate(biadjoint_rows), operators=5),
+        check("dual-basis-dp", sm.reads_one_coordinate(map(sm.EvConstSeq.atom, range(1, 33))), atoms=32),
+        rank_check,
+        # Slot 1 frozen at the constant 1 leaves v |-> (w_n v_n).
+        check("slotwise-dp", sm.reads_one_coordinate(sm.comp_rows(sm.WeightedCompOp(weight)))),
+    ]
     rng = random.Random(seed + 2)
-    embed_ok = True
-    for _ in range(20):
-        trial_op = random_weighted_comp(rng)
-        x = random_seq(rng, tail_zero=True)
-        if comp_biadjoint(trial_op, x) != comp_apply(trial_op, x):
-            embed_ok = False
-            break
-    if embed_ok:
-        checks.append(check("biadjoint-extends-apply", True, samples=20))
-    else:
-        fail("biadjoint-extends-apply", "biadjoint disagreed with apply on an embedded element")
-
+    embeds_ok = all(
+        agrees(
+            "biadjoint-extends-apply",
+            sm.comp_probe_pairs(sm.random_weighted_comp(rng), sm.random_seq(rng, tail_zero=True)),
+        )
+        for _ in range(20)
+    )
+    checks.append(check("biadjoint-extends-apply", embeds_ok, samples=20))
     report = build_report(
         "seq-demo",
         digest,
         checks,
         witness=witness,
         seed=seed,
-        cost={"suites": 6},
+        cost={"probes": probes},
         detail={"args": args},
     )
     return (0 if report["ok"] else 1), report
+
+
+def _tensor_reports() -> dict:
+    """Report builder per tensor command, looked up per call so a test can swap one."""
+    return {
+        "check-dp": _report_check_dp,
+        "arens": _report_arens,
+        "modulus": _report_modulus,
+        "factorize": _report_factorize,
+        "rank": _report_rank,
+    }
 
 
 def _seq_demo_inputs(args) -> tuple[EvConstSeq, str, dict]:
@@ -316,10 +298,7 @@ def _seq_demo_inputs(args) -> tuple[EvConstSeq, str, dict]:
 
     if args.weight_file:
         data = read_bytes(args.weight_file)
-        try:
-            obj = json.loads(decode_utf8(data, "weight file"))
-        except json.JSONDecodeError as exc:
-            raise SpecFileError(f"invalid JSON: {exc}") from exc
+        obj = decode_json(decode_utf8(data, "weight file"))
         if isinstance(obj, dict) and obj.get("kind") == "diag-bilinear":
             weight = parse_spec(obj).weight
         else:
@@ -368,15 +347,17 @@ def _stored_witness_verifies(obj, tensor: MultiTensor) -> bool:
         ):
             raise ValueError("coordinates out of range for the tensor")
         return witness.verify(tensor)
+    except DigitLimitError as exc:
+        raise SpecFileError(
+            f"witness in report passes the int-to-str digit limit ({exc}); "
+            "replay it under python -X int_max_str_digits=0 -m rieszkit replay"
+        ) from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SpecFileError(f"malformed witness in report: {exc}") from exc
 
 
 def _run_replay(args) -> tuple[int, dict]:
-    try:
-        stored = json.loads(decode_utf8(read_bytes(args.report), "report file"))
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(f"invalid report JSON: {exc}") from exc
+    stored = decode_json(decode_utf8(read_bytes(args.report), "report file"), "report JSON")
     command, stored_digest, stored_args = _stored_fields(stored)
 
     if command == "seq-demo":
@@ -385,23 +366,13 @@ def _run_replay(args) -> tuple[int, dict]:
     else:
         if not args.spec:
             raise SpecFileError(f"replaying {command!r} needs the original spec file")
-        data = read_bytes(args.spec)
-        digest = input_digest(data)
+        spec, digest = _load_tensor(args.spec)
         if digest != stored_digest:
             raise SpecFileError("spec file does not match the report's input digest")
-        spec = loads_spec(decode_utf8(data))
-        if not isinstance(spec, MultiTensor):
-            raise SpecFileError("replay currently covers tensor commands and seq-demo")
-        builders = {
-            "check-dp": _report_check_dp,
-            "arens": _report_arens,
-            "modulus": _report_modulus,
-            "factorize": _report_factorize,
-            "rank": _report_rank,
-        }
-        if command not in builders:
+        builder = _tensor_reports().get(command)
+        if builder is None:
             raise SpecFileError(f"unknown command in report: {command!r}")
-        _, rebuilt = builders[command](spec, digest, stored_args)
+        _, rebuilt = builder(spec, digest, stored_args)
 
     checks = [check("report-reproduced", rebuilt == stored)]
     if "witness" in stored and command in ("check-dp", "arens", "factorize"):
@@ -455,43 +426,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OutputError(Exception):
+    """The report could not be written to stdout."""
+
+
+def _write_stdout(text: str) -> None:
+    if sys.stdout is None:  # the process started with stdout closed
+        raise _OutputError("stdout is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
+def _note(line: str) -> None:
+    """One line to stderr; a closed or failing stderr must not change the exit code."""
+    if sys.stderr is not None:  # None when the process started with stderr closed
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        if args.command == "check-dp":
-            tensor, digest = _load_tensor(args.file)
-            code, report = _report_check_dp(tensor, digest, {})
-        elif args.command == "arens":
-            tensor, digest = _load_tensor(args.file)
-            code, report = _report_arens(
-                tensor, digest, {"perm": args.perm, "trace": bool(args.trace)}
-            )
-        elif args.command == "modulus":
-            tensor, digest = _load_tensor(args.file)
-            code, report = _report_modulus(tensor, digest, {})
-        elif args.command == "factorize":
-            tensor, digest = _load_tensor(args.file)
-            code, report = _report_factorize(tensor, digest, {})
-        elif args.command == "rank":
-            tensor, digest = _load_tensor(args.file)
-            code, report = _report_rank(tensor, digest, {})
-        elif args.command == "seq-demo":
+        if args.command == "seq-demo":
             weight, digest, demo_args = _seq_demo_inputs(args)
             code, report = _report_seq_demo(weight, digest, demo_args)
         elif args.command == "replay":
             code, report = _run_replay(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise SpecFileError(f"unknown command {args.command!r}")
+        else:  # argparse admits only the tensor commands besides
+            tensor, digest = _load_tensor(args.file)
+            command_args = {"perm": args.perm, "trace": args.trace} if args.command == "arens" else {}
+            code, report = _tensor_reports()[args.command](tensor, digest, command_args)
+        _write_stdout(report_json(report) if args.json else render_human(report))
     except (SpecFileError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2
+    except _OutputError as exc:
+        _note(f"error: cannot write the report: {exc}")
+        return 4
     except Exception as exc:  # exit 1 means "property fails", so never let a crash say it
-        print(f"error: internal {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
+        _note(f"error: internal {type(exc).__name__}: {exc}".replace("\n", " "))
         return 3
-    sys.stdout.write(report_json(report) if args.json else render_human(report))
-    print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
+    _note(f"elapsed: {time.monotonic() - started:.3f}s")
     return code
 
 

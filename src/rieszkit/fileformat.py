@@ -285,12 +285,17 @@ def spec_to_obj(spec) -> dict:
     raise TypeError(f"not a spec object: {type(spec).__name__}")
 
 
-def loads_spec(text: str) -> MultiTensor | DiagBilinear | WeightedCompOp:
+def decode_json(text: str, what: str = "JSON"):
+    """json.loads; bad syntax, nesting past the recursion limit and integer
+    literals past the int-to-str digit limit are all SpecFileError."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(f"invalid JSON: {exc}") from exc
-    return parse_spec(obj)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
+        raise SpecFileError(f"invalid {what}: {exc}") from exc
+
+
+def loads_spec(text: str) -> MultiTensor | DiagBilinear | WeightedCompOp:
+    return parse_spec(decode_json(text))
 
 
 def load_spec_file(path: str) -> MultiTensor | DiagBilinear | WeightedCompOp:

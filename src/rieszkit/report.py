@@ -113,12 +113,15 @@ def render_human(report: dict) -> str:
         extras = [
             f"{key}={value}"
             for key, value in sorted(entry.items())
-            if key not in ("name", "verdict") and not isinstance(value, (dict, list))
+            if key not in ("name", "verdict") and not isinstance(value, dict)
         ]
         suffix = f"  ({', '.join(extras)})" if extras else ""
         lines.append(f"  [{entry['verdict'].upper():4}] {entry['name']}{suffix}")
-    if "witness" in report:
-        w = report["witness"]
+    w = report.get("witness")
+    if w is not None and "check" in w:  # a seq-demo probe disagreement
+        lines.append(f"witness: check {w['check']} at index {w['index']}")
+        lines.append(f"  got {w['got']}, expected {w['expected']}")
+    elif w is not None:
         lines.append(
             f"witness: output coordinate {w['out_coord']}, slot {w['slot']}"
         )

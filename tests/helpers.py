@@ -9,7 +9,10 @@ images under suprema until it stops growing; modulus_oracle recomputes
 the least majorant pointwise; arens_reference runs the extension chain
 one validated form per node; parse_tensor_reference parses a tensor spec
 with a check per entry, then MultiTensor.from_rows and the validating
-constructor.
+constructor. The sequence-model oracles (biadjoint_dp_check,
+dual_basis_dp, rank_lower_bound, slotwise_dp_check) decide by sampling
+disjoint pairs and testing their images, where the library decides the
+same questions exactly from the operator's finite pattern.
 """
 
 from __future__ import annotations
@@ -36,7 +39,16 @@ from rieszkit.fileformat import (
     _rational_field,
     _require_dict,
 )
-from rieszkit.sampling import random_tensor
+from rieszkit.sampling import random_rational, random_tensor
+from rieszkit.seqmodel import (
+    DiagBilinear,
+    EvConstSeq,
+    WeightedCompOp,
+    comp_biadjoint,
+    diag_apply,
+    diag_arens,
+    random_seq,
+)
 
 
 def disjoint_subset_pairs(dim: int):
@@ -351,3 +363,93 @@ def parse_tensor_reference(obj) -> MultiTensor:
         return MultiTensor.from_rows(tuple(dims), codomain, rows)
     except ValueError as exc:
         raise SpecFileError(str(exc)) from exc
+
+
+def sample_disjoint_pair(rng: random.Random) -> tuple[EvConstSeq, EvConstSeq]:
+    """A structured disjoint pair: tail-split, finite-finite, or a zero edge."""
+    kind = rng.choice(["tail_split", "finite", "zero"])
+    if kind == "zero":
+        return EvConstSeq.zero(), random_seq(rng)
+    indices = list(range(1, 11))
+    rng.shuffle(indices)
+    cut = rng.randint(1, 6)
+    left, right = indices[:cut], indices[cut : cut + rng.randint(1, 4)]
+    u = EvConstSeq({k: _nonzero(rng) for k in left}, 0)
+    if kind == "finite":
+        v = EvConstSeq({k: _nonzero(rng) for k in right}, 0)
+    else:
+        # cofinite tail, forced to vanish on the support of u
+        exc = {k: 0 for k in left}
+        for k in right:
+            exc[k] = _nonzero(rng)
+        v = EvConstSeq(exc, _nonzero(rng))
+    return u, v
+
+
+def _nonzero(rng: random.Random) -> Fraction:
+    value = random_rational(rng, span=4, max_den=3)
+    return value if value != 0 else Fraction(1)
+
+
+def biadjoint_dp_check(op: WeightedCompOp, *, samples: int = 50, seed: int = 0) -> bool:
+    """Biadjoint images of sampled disjoint pairs stay disjoint."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        u, v = sample_disjoint_pair(rng)
+        if not comp_biadjoint(op, u).is_disjoint(comp_biadjoint(op, v)):
+            return False
+    return True
+
+
+def dual_basis_dp(*, limit: int = 32, samples: int = 50, seed: int = 0) -> bool:
+    """Each coordinate functional e_n* (n <= limit) preserves disjointness.
+
+    For disjoint u, v the pair of values (u_n, v_n) must be disjoint in Q,
+    that is, min(|u_n|, |v_n|) = 0.
+    """
+    rng = random.Random(seed)
+    pairs = [sample_disjoint_pair(rng) for _ in range(samples)]
+    pairs.append((EvConstSeq.atom(1), EvConstSeq.atom(2)))
+    for u, v in pairs:
+        for n in range(1, limit + 1):
+            if min(abs(u.value_at(n)), abs(v.value_at(n))) != 0:
+                return False
+    return True
+
+
+def rank_lower_bound(op: DiagBilinear, n_atoms: int) -> int:
+    """Certify lattice rank >= n_atoms by exhibiting disjoint range elements.
+
+    The elements A(e_n, e_n) = w_n e_n for n = 1..n_atoms are pairwise
+    disjoint and nonzero provided the weight does not vanish there; any
+    sublattice containing the range then contains n_atoms independent
+    vectors. Raises when the weight vanishes on the requested range.
+    """
+    if n_atoms < 1:
+        raise ValueError(f"need at least one atom, got {n_atoms}")
+    images = []
+    for n in range(1, n_atoms + 1):
+        if op.weight.value_at(n) == 0:
+            raise ValueError(f"weight vanishes at index {n}; no certificate there")
+        images.append(diag_apply(op, EvConstSeq.atom(n), EvConstSeq.atom(n)))
+    for i, a in enumerate(images):
+        if a.is_zero():
+            raise ValueError(f"range element at index {i + 1} vanished")
+        for b in images[i + 1 :]:
+            if not a.is_disjoint(b):
+                return 0
+    return n_atoms
+
+
+def slotwise_dp_check(
+    op: DiagBilinear, u_fixed: EvConstSeq, *, samples: int = 50, seed: int = 0
+) -> bool:
+    """With one slot frozen, the extension maps disjoint pairs to disjoint images."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        v, v_hat = sample_disjoint_pair(rng)
+        left = diag_arens(op, u_fixed, v)
+        right = diag_arens(op, u_fixed, v_hat)
+        if not left.is_disjoint(right):
+            return False
+    return True

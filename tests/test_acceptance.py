@@ -18,25 +18,36 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_sign_tensors, dp_oracle, modulus_oracle, sign_tensors, slot_asymmetric_tensor
+from helpers import (
+    biadjoint_dp_check,
+    count_sign_tensors,
+    dp_oracle,
+    dual_basis_dp,
+    modulus_oracle,
+    rank_lower_bound,
+    sample_disjoint_pair,
+    sign_tensors,
+    slot_asymmetric_tensor,
+    slotwise_dp_check,
+)
 from rieszkit import (
     DiagBilinear,
     EvConstSeq,
     FinVector,
     Permutation,
+    WeightedCompOp,
     all_permutations,
     arens_extension,
-    biadjoint_dp_check,
     check_dp_preservation,
+    cli,
+    comp_rows,
     diag_apply,
     diag_arens,
     diag_arens_pair,
-    dual_basis_dp,
     factorize_multimorphism,
     pair,
     pairing_identities,
-    rank_lower_bound,
-    slotwise_dp_check,
+    reads_one_coordinate,
     span_disjointness,
 )
 from rieszkit.fileformat import dumps_spec, loads_spec
@@ -46,12 +57,7 @@ from rieszkit.sampling import (
     random_tensor,
     random_vector,
 )
-from rieszkit.seqmodel import (
-    random_functional,
-    random_seq,
-    random_weighted_comp,
-    sample_disjoint_pair,
-)
+from rieszkit.seqmodel import random_functional, random_seq, random_weighted_comp
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -279,17 +285,31 @@ def test_acceptance_8_sequence_model(capsys):
             for rho in perms:
                 for y_prime in functionals:
                     assert diag_arens_pair(op, rho, u, v, y_prime) == pair(closed, y_prime)
+        # the exact decisions, with the sampled oracles as the second route
         for i in range(20):
-            assert biadjoint_dp_check(random_weighted_comp(rng), samples=50, seed=88 + i)
+            comp = random_weighted_comp(rng)
+            assert reads_one_coordinate(comp_rows(comp))
+            assert biadjoint_dp_check(comp, samples=50, seed=88 + i)
         assert dual_basis_dp(limit=32)
-        ones_op = DiagBilinear(EvConstSeq.constant(1))
+        ones = EvConstSeq.constant(1)
+        ones_op = DiagBilinear(ones)
         assert rank_lower_bound(ones_op, 32) == 32
+        # the reported certificate of infinite rank: >= 32 disjoint nonzero range elements
+        _, report = cli._report_seq_demo(ones, "sha256:x", {"seed": 88})
+        rank_check = next(c for c in report["checks"] if c["name"] == "rank")
+        assert rank_check["hypothesis"] == "dual-basis"
+        first, last = rank_check["disjoint"]
+        images = [diag_apply(ones_op, EvConstSeq.atom(n), EvConstSeq.atom(n)) for n in range(first, last + 1)]
+        assert len(images) >= 32
+        assert not any(a.is_zero() for a in images)
+        assert all(a.is_disjoint(b) for i, a in enumerate(images) for b in images[i + 1 :])
         for _ in range(50):
             u, v = sample_disjoint_pair(rng)
             z = random_seq(rng)
             assert diag_apply(ones_op, u, z).is_disjoint(diag_apply(ones_op, v, z))
             assert diag_apply(ones_op, z, u).is_disjoint(diag_apply(ones_op, z, v))
-        for u_fixed in (EvConstSeq.constant(1), EvConstSeq.atom(3), random_seq(rng)):
+        for u_fixed in (ones, EvConstSeq.atom(3), random_seq(rng)):
+            assert reads_one_coordinate(comp_rows(WeightedCompOp(u_fixed)))
             assert slotwise_dp_check(ones_op, u_fixed)
 
 

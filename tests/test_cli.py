@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through subprocesses."""
 
 import json
+import os
 import pathlib
 import random
 import re
@@ -269,12 +270,129 @@ def test_seq_demo_deterministic_and_seeded():
     assert json.loads(seeded.stdout)["seed"] == 5
 
 
-def test_seq_demo_corrupted_weight_fails_with_witness():
-    result = run("seq-demo", "--weight-file", fixture("d_sparse.json"), "--json")
-    assert result.returncode == 1
-    report = json.loads(result.stdout)
-    assert report["witness"]["check"] == "rank-lower-bound"
-    assert "vanishes" in report["witness"]["error"]
+@pytest.mark.parametrize(
+    "name, rank",
+    [("d_sparse", 1), ("d_decay", 3), ("d_zero", 0), ("d_ones", None), ("d_neg", None), ("d_tailhalf", None)],
+)
+def test_seq_demo_exact_rank(capsys, name, rank):
+    # finite rank and the dual basis are the theorem's two hypotheses; either one passes
+    path = str(fixture(f"{name}.json"))
+    assert cli.main(["seq-demo", "--weight-file", path]) == 0
+    human = capsys.readouterr().out
+    assert cli.main(["seq-demo", "--weight-file", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and len(report["checks"]) == 6
+    (entry,) = [c for c in report["checks"] if c["name"] == "rank"]
+    if rank is None:
+        assert entry["hypothesis"] == "dual-basis" and "rank" not in entry
+        first, last = entry["disjoint"]
+        assert last - first + 1 == 32
+        assert "hypothesis=dual-basis" in human
+    else:
+        assert entry["hypothesis"] == "finite-rank"
+        assert entry["rank"] == rank == len(entry["basis"])
+        assert f"hypothesis=finite-rank, rank={rank}" in human
+
+
+def test_seq_demo_probe_disagreement_is_a_witness(monkeypatch, capsys):
+    from rieszkit import seqmodel
+
+    real = seqmodel.diag_arens_pair
+    monkeypatch.setattr(seqmodel, "diag_arens_pair", lambda *args: real(*args) + 1)
+    assert cli.main(["seq-demo", "--weight-file", str(fixture("d_sparse.json"))]) == 1
+    out, err = capsys.readouterr()
+    assert "[FAIL] diag-extension-agrees" in out
+    assert re.search(r"witness: check diag-extension-agrees at index \d+\n  got \S+, expected \S+\n", out)
+    assert "Traceback" not in err
+    assert cli.main(["seq-demo", "--json"]) == 1
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert set(witness) == {"check", "index", "got", "expected"}
+    assert parse_rational(witness["got"]) == parse_rational(witness["expected"]) + 1
+
+
+def test_closed_stdout_exits_4():
+    result = subprocess.run(
+        [sys.executable, "-m", "rieszkit", "check-dp", str(fixture("t_vector_dp.json"))],
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert result.returncode == 4
+    assert result.stderr == b"error: cannot write the report: stdout is closed\n"
+
+
+def test_closed_stderr_keeps_the_verdict():
+    # the elapsed line is best effort: writing it to a closed stderr used to exit 1
+    result = subprocess.run(
+        [sys.executable, "-m", "rieszkit", "check-dp", str(fixture("t_vector_dp.json"))],
+        stdout=subprocess.PIPE,
+        preexec_fn=lambda: os.close(2),
+    )
+    assert result.returncode == 0
+    assert result.stdout.endswith(b"result: ok\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[" * 100_000, "maximum recursion depth"), ('{"m": ' + "9" * 5000 + "}", "integer string conversion")],
+    ids=["deep", "huge-int"],
+)
+@pytest.mark.parametrize(
+    "argv", [["check-dp", "{path}"], ["seq-demo", "--weight-file", "{path}"], ["replay", "{path}"]]
+)
+def test_json_past_decoder_limits_is_an_input_error(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert cli.main([a.format(path=path) for a in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_replay_past_the_digit_limit_names_the_limit(tmp_path, capsys):
+    # a witness whose numbers pass the int-to-str limit is well-formed: it
+    # replays under a raised limit, and exits 2 saying so elsewhere
+    spec = tmp_path / "big.json"
+    entries = [([1, 1, 1, 1], "1"), ([2, 2, 2, 2], str(10**1200))]
+    spec.write_text(json.dumps({
+        "m": 4, "domain_dims": [2] * 4, "codomain_dim": 1,
+        "entries": [{"out": 1, "idx": idx, "value": value} for idx, value in entries],
+    }))
+    assert cli.main(["check-dp", str(spec), "--json"]) == 1
+    stored = tmp_path / "report.json"
+    stored.write_text(capsys.readouterr().out)
+    assert cli.main(["replay", str(stored), str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "int-to-str digit limit" in err and "python -X int_max_str_digits=0" in err
+    assert "malformed" not in err
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert cli.main(["replay", str(stored), str(spec)]) == 0
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+TENSOR_COMMANDS = ("check-dp", "arens", "modulus", "factorize", "rank")
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_exit_code_smoke_matrix(tmp_path, capsys, name):
+    # every subcommand, human and --json, in process: exit 0, 1 or 2, never a
+    # traceback, and a fresh --json report always replays
+    path = str(fixture(name))
+    stored = tmp_path / "report.json"
+    for argv in [[c, path] for c in TENSOR_COMMANDS] + [["seq-demo", "--weight-file", path]]:
+        for mode in ([], ["--json"]):
+            code = cli.main(argv + mode)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv, mode, err)
+        if code == 2:
+            continue
+        if code == 1 and argv[0] != "seq-demo":
+            assert witness_from_obj(json.loads(out)["witness"]).verify(loads_spec(fixture(name).read_text()))
+        stored.write_text(out)
+        replay = ["replay", str(stored)] + ([] if argv[0] == "seq-demo" else [path])
+        for mode in ([], ["--json"]):
+            assert cli.main(replay + mode) == 0, (argv, mode)
+            assert "Traceback" not in capsys.readouterr().err
 
 
 def test_replay_confirms_and_detects_tampering(tmp_path):

@@ -6,24 +6,32 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    biadjoint_dp_check,
+    dual_basis_dp,
+    rank_lower_bound,
+    sample_disjoint_pair,
+    slotwise_dp_check,
+)
 from rieszkit import (
     DiagBilinear,
     EvConstSeq,
+    MultiTensor,
     Permutation,
     WeightedCompOp,
-    biadjoint_dp_check,
     comp_adjoint,
     comp_apply,
     comp_biadjoint,
+    comp_rows,
     diag_apply,
     diag_arens,
     diag_arens_pair,
-    dual_basis_dp,
+    diag_lattice_rank,
     pair,
-    rank_lower_bound,
-    slotwise_dp_check,
+    reads_one_coordinate,
+    seqmodel,
 )
-from rieszkit.seqmodel import random_seq, sample_disjoint_pair
+from rieszkit.seqmodel import random_seq
 
 F = Fraction
 
@@ -253,11 +261,83 @@ def test_biadjoint_dp():
         assert biadjoint_dp_check(T, samples=30, seed=rng.randint(0, 999))
 
 
-# -- instance suite ------------------------------------------------------------------
+# -- instance suite: exact decisions against the sampled oracles --------------------
+
+
+def comp_ops():
+    return st.builds(
+        WeightedCompOp,
+        seqs(),
+        st.dictionaries(st.integers(1, 6), st.integers(1, 9), max_size=3),
+        st.integers(0, 3),
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(comp_ops(), seqs(), seqs())
+def test_structural_dp_matches_sampled_oracles(op, weight, u_fixed):
+    assert reads_one_coordinate(comp_rows(op)) == biadjoint_dp_check(op, samples=20)
+    frozen = WeightedCompOp(weight.pointwise_mul(u_fixed))
+    assert reads_one_coordinate(comp_rows(frozen)) == slotwise_dp_check(
+        DiagBilinear(weight), u_fixed, samples=10
+    )
+
+
+@settings(derandomize=True)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(1, 4), st.fractions(max_denominator=4), max_size=3),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_row_law_is_the_m1_law_of_is_dp(rows):
+    seq_rows = [EvConstSeq(row, 0) for row in rows]
+    tensor = MultiTensor(
+        (4,),
+        len(seq_rows),
+        {(k, (n - 1,)): v for k, row in enumerate(seq_rows) for n, v in row.exceptions.items()},
+    )
+    assert reads_one_coordinate(seq_rows) == tensor.is_dp().is_dp
 
 
 def test_dual_basis_dp():
+    assert reads_one_coordinate(EvConstSeq.atom(n) for n in range(1, 33))
     assert dual_basis_dp(limit=32, samples=50, seed=0)
+    assert not reads_one_coordinate([EvConstSeq.atom(1) + EvConstSeq.atom(2)])
+
+
+@settings(derandomize=True, deadline=None)
+@given(seqs())
+def test_lattice_rank_matches_truncations_and_oracle(weight):
+    op = DiagBilinear(weight)
+    rank, atoms = diag_lattice_rank(op)
+    n = 12  # past every exception index
+    truncated = MultiTensor(
+        (n, n), n, {(k - 1, (k - 1, k - 1)): weight.value_at(k) for k in range(1, n + 1)}
+    )
+    truncated_rank = len(truncated.range_sublattice_basis())
+    if rank is None:
+        # each index past the exceptions adds an atom, so truncations grow without bound
+        assert truncated_rank >= n - weight.max_exception_index()
+        images = [diag_apply(op, EvConstSeq.atom(k), EvConstSeq.atom(k)) for k in atoms]
+        assert len(images) == 32 and not any(a.is_zero() for a in images)
+        assert all(a.is_disjoint(b) for i, a in enumerate(images) for b in images[i + 1 :])
+    else:
+        assert rank == truncated_rank and atoms == weight.support()
+    for k in range(1, n + 1):
+        try:
+            certified = rank_lower_bound(op, k)
+        except ValueError:  # the sampled oracle needs a nonzero weight on 1..k
+            continue
+        assert rank is None or rank >= certified
+
+
+def test_lattice_rank_of_fixtures():
+    assert diag_lattice_rank(DiagBilinear(EvConstSeq.atom(1))) == (1, [1])
+    assert diag_lattice_rank(DiagBilinear(EvConstSeq.zero())) == (0, [])
+    rank, atoms = diag_lattice_rank(DiagBilinear(EvConstSeq({4: 3}, F(1, 2))))
+    assert rank is None and atoms == list(range(5, 37))
 
 
 def test_rank_lower_bound():
@@ -289,6 +369,16 @@ def test_sampled_disjoint_pairs_are_disjoint():
     for _ in range(200):
         u, v = sample_disjoint_pair(rng)
         assert u.is_disjoint(v)
+
+
+def test_benchmark_names_answer_exactly():
+    # seqmodel keeps these names for the per-layer benchmark; each is the exact decision
+    assert seqmodel.biadjoint_dp_check(left_shift(), samples=50, seed=1)
+    assert seqmodel.dual_basis_dp(limit=32, samples=50, seed=1)
+    assert seqmodel.rank_lower_bound(DiagBilinear(ONES), 32) == 32
+    with pytest.raises(ValueError):
+        seqmodel.rank_lower_bound(DiagBilinear(EvConstSeq.atom(1)), 2)
+    assert seqmodel.slotwise_dp_check(DiagBilinear(ONES), ONES, samples=25, seed=1)
 
 
 def test_every_op_returns_canonical_forms():
