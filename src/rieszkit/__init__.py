@@ -33,14 +33,11 @@ _EXPORTS = {
         "MAX_DIM",
         "DPVerdict",
         "DPWitness",
-        "LinOp",
         "MultimorphismFactorization",
         "MultiTensor",
         "NotDisjointnessPreserving",
         "ShapeError",
-        "extend_from_positive_cone",
         "factorize_multimorphism",
-        "sign_expansion_value",
     ),
     "rational": ("as_fraction", "format_rational", "parse_rational"),
     "seqmodel": (

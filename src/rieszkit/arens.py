@@ -17,9 +17,11 @@ The pipeline is kept honest anyway: each permutation goes through its own
 contraction order, and the recorded intermediate forms genuinely differ
 between permutations whenever the tensor has no accidental slot symmetry.
 
-The contraction core is shared with the sequence model
-(:mod:`rieszkit.seqmodel`), which runs the same chain over finitely
-supported forms indexed by sequence positions instead of finite slots.
+The contraction core, :func:`rieszkit.operators._contract_entries`, is
+shared with the sequence model (:mod:`rieszkit.seqmodel`), which runs the
+same chain over finitely supported forms indexed by sequence positions
+instead of finite slots. For m = 1 the single extension is the second
+adjoint T'' of a linear map.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .operators import (
     DPVerdict,
     MultiTensor,
     NotDisjointnessPreserving,
     ShapeError,
+    _contract_entries,
 )
 from .sampling import random_vector
 from .vectors import FinVector
@@ -214,37 +217,6 @@ class IntermediateForm:
         return f"IntermediateForm(dims={self._dims}, labels={self._labels}, {len(self._entries)} entries)"
 
 
-def _contract_entries(
-    entries: Mapping[tuple, Fraction],
-    coefficient: Callable[[object], Fraction],
-) -> dict[tuple, Fraction]:
-    """Collapse the first index of a sparse form against a coefficient lookup.
-
-    This is the pairing of a bidual element with the form read as a
-    dual-vector-valued map in its first index, written sparsely:
-    out[rest] = sum_j coefficient(j) * entries[(j,) + rest]. The sequence
-    model reuses it with sequence positions as indices.
-    """
-    out: dict[tuple, Fraction] = {}
-    for idx, value in entries.items():
-        c = coefficient(idx[0])
-        if c == 0:
-            continue
-        if c != 1:
-            value = c * value
-        rest = idx[1:]
-        prev = out.get(rest)
-        if prev is None:
-            out[rest] = value
-            continue
-        acc = prev + value
-        if acc == 0:
-            del out[rest]
-        else:
-            out[rest] = acc
-    return out
-
-
 def permute_form(form: IntermediateForm, rho: Permutation) -> IntermediateForm:
     """Rearrange a full-arity scalar form to read its slots in rho-order.
 
@@ -380,9 +352,7 @@ class DpPreservationReport(NamedTuple):
         return all(v.is_dp for _, v in self.per_permutation)
 
 
-def check_dp_preservation(
-    tensor: MultiTensor, rhos: Iterable[Permutation] | None = None
-) -> DpPreservationReport:
+def check_dp_preservation(tensor: MultiTensor) -> DpPreservationReport:
     """Extend a DP operator along every permutation and re-decide DP.
 
     Raises :class:`NotDisjointnessPreserving` when the input itself is not
@@ -391,9 +361,8 @@ def check_dp_preservation(
     verdict = tensor.is_dp()
     if not verdict.is_dp:
         raise NotDisjointnessPreserving(verdict)
-    perms = list(rhos) if rhos is not None else list(all_permutations(tensor.m))
     results = []
-    for rho in perms:
+    for rho in all_permutations(tensor.m):
         extension = arens_extension(tensor, rho)
         results.append((rho, extension.tensor.is_dp()))
     return DpPreservationReport(verdict, tuple(results))
@@ -410,7 +379,6 @@ def pairing_identities(
     *,
     samples: int = 20,
     seed: int = 0,
-    rhos: Iterable[Permutation] | None = None,
 ) -> bool:
     """Check the modulus pairing laws of the extensions of a DP operator.
 
@@ -428,9 +396,8 @@ def pairing_identities(
     if not verdict.is_dp:
         raise NotDisjointnessPreserving(verdict)
     rng = random.Random(seed)
-    perms = list(rhos) if rhos is not None else list(all_permutations(tensor.m))
     abs_y = abs(y_dual)
-    for rho in perms:
+    for rho in all_permutations(tensor.m):
         extension = arens_extension(tensor, rho).tensor
         contracted = _contract_entries(dict(extension.items()), y_dual.__getitem__)
         composed = MultiTensor(
@@ -457,8 +424,6 @@ def span_disjointness(
     z: FinVector,
     fixed: Mapping[int, FinVector],
     y_star: FinVector,
-    *,
-    rhos: Iterable[Permutation] | None = None,
 ) -> bool:
     """Disjointness of extension images, observed through one functional.
 
@@ -473,7 +438,6 @@ def span_disjointness(
         raise ValueError("w and z are not disjoint")
     if y_star.dim != tensor.codomain_dim:
         raise ShapeError("functional dimension does not match the codomain")
-    perms = list(rhos) if rhos is not None else list(all_permutations(tensor.m))
     args_w = []
     args_z = []
     for i in range(tensor.m):
@@ -484,7 +448,7 @@ def span_disjointness(
             args_w.append(fixed[i])
             args_z.append(fixed[i])
     abs_y = abs(y_star)
-    for rho in perms:
+    for rho in all_permutations(tensor.m):
         u = arens_evaluate(tensor, rho, args_w)
         v = arens_evaluate(tensor, rho, args_z)
         if abs(u).inf(abs(v)).dot(abs_y) != 0:

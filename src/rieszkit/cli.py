@@ -68,9 +68,9 @@ def _perm_choices(text: str, m: int) -> list[Permutation]:
 
     if text == "all":
         return list(all_permutations(m))
-    if text in ("id", "identity"):
+    if text == "id":
         return [Permutation.identity(m)]
-    if text in ("theta", "reverse"):
+    if text == "theta":
         return [Permutation.theta(m)]
     try:
         return [Permutation.from_cycles(text, m)]

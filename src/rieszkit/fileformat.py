@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -93,6 +94,27 @@ def _int_field(obj: dict, key: str, what: str) -> int:
     if not _is_int(value):
         raise SpecFileError(f"{what}.{key} must be an integer, got {value!r}")
     return value
+
+
+def index_key(key, what: str) -> int:
+    """A 1-based index written as a JSON object key, in ASCII digits only.
+
+    The key must also stay below the int-to-str digit limit by a digit:
+    reports write indices a few past the largest one read (the rank
+    certificate of seq-demo), and those must convert back to text.
+    """
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+        raise SpecFileError(f"{what} {key!r} must be a 1-based integer string of ASCII digits")
+    limit = sys.get_int_max_str_digits()
+    if limit and len(key) >= limit:
+        raise SpecFileError(
+            f"{what} {key!r} has {len(key)} digits, not fewer than the int-to-str digit "
+            f"limit of {limit}; rerun under python -X int_max_str_digits=0"
+        )
+    index = int(key)
+    if index < 1:
+        raise SpecFileError(f"{what} {key!r} must be 1-based")
+    return index
 
 
 def _rational_field(value, what: str):
@@ -190,9 +212,8 @@ def parse_seq(obj, what: str = "sequence") -> EvConstSeq:
     exceptions = _require_dict(exceptions, f"{what}.exceptions")
     exc: dict[int, object] = {}
     for key, raw in exceptions.items():
-        if not isinstance(key, str) or not key.isdigit() or int(key) < 1:
-            raise SpecFileError(f"{what}: exception index {key!r} must be a 1-based integer string")
-        exc[int(key)] = _rational_field(raw, f"{what}.exceptions[{key}]")
+        index = index_key(key, f"{what}: exception index")
+        exc[index] = _rational_field(raw, f"{what}.exceptions[{key}]")
     return EvConstSeq(exc, _rational_field(obj["tail"], f"{what}.tail"))
 
 
@@ -235,11 +256,10 @@ def parse_comp(obj) -> WeightedCompOp:
     table_obj = _require_dict(obj.get("table", {}), "weighted-comp table")
     table: dict[int, int] = {}
     for key, target in table_obj.items():
-        if not isinstance(key, str) or not key.isdigit() or int(key) < 1:
-            raise SpecFileError(f"table index {key!r} must be a 1-based integer string")
+        index = index_key(key, "table index")
         if not isinstance(target, int) or isinstance(target, bool) or target < 1:
             raise SpecFileError(f"table target {target!r} must be a 1-based integer")
-        table[int(key)] = target
+        table[index] = target
     shift = obj.get("shift", 0)
     if not isinstance(shift, int) or isinstance(shift, bool) or shift < 0:
         raise SpecFileError(f"shift must be a nonnegative integer, got {shift!r}")

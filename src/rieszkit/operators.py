@@ -11,13 +11,18 @@ operator map tuples that are disjoint in one slot (the other slots held
 fixed) to disjoint outputs? The answer is structural, and every negative
 answer comes with a concrete witness that is re-verified by evaluation
 before it is returned.
+
+A linear map is the case m = 1, a one-slot tensor; its second adjoint
+T'' is :func:`rieszkit.arens.arens_extension` at m = 1. The sparse
+contraction :func:`_contract_entries` lives here because both the Arens
+chain and the sequence model run it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rational import as_fraction, ceil_fraction
 from .vectors import FinVector
@@ -471,169 +476,40 @@ class MultiTensor:
         return len(self.range_sublattice_basis())
 
 
-# -- linear operators ---------------------------------------------------------
+# -- sparse contraction ------------------------------------------------------------
 
 
-class LinOp:
-    """Sparse rational matrix T: Q^dom -> Q^cod.
+def _contract_entries(
+    entries: Mapping[tuple, Fraction],
+    coefficient: Callable[[object], Fraction],
+) -> dict[tuple, Fraction]:
+    """Collapse the first index of a sparse form against a coefficient lookup.
 
-    The order dual of Q^n is Q^n itself, so the order adjoint is the plain
-    transpose and the second adjoint, composed with the identity embedding
-    of each space into its bidual, returns the original matrix.
+    This is the pairing of a bidual element with the form read as a
+    dual-vector-valued map in its first index, written sparsely:
+    out[rest] = sum_j coefficient(j) * entries[(j,) + rest]. The Arens
+    chain (:func:`rieszkit.arens.contract`) runs it over slot indices and
+    the sequence model (:func:`rieszkit.seqmodel.diag_arens_pair`) over
+    sequence positions.
     """
-
-    __slots__ = ("_dom", "_cod", "_entries")
-
-    def __init__(
-        self,
-        domain_dim: int,
-        codomain_dim: int,
-        entries: Mapping[tuple[int, int], object],
-    ) -> None:
-        if not 1 <= domain_dim <= MAX_DIM or not 1 <= codomain_dim <= MAX_DIM:
-            raise ShapeError(f"dims must lie in 1..{MAX_DIM}")
-        self._dom = int(domain_dim)
-        self._cod = int(codomain_dim)
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (r, c), raw in entries.items():
-            if not (0 <= r < self._cod and 0 <= c < self._dom):
-                raise ShapeError(f"matrix position {(r, c)} out of range")
-            v = as_fraction(raw)
-            if v != 0:
-                clean[(int(r), int(c))] = v
-        self._entries = clean
-
-    @property
-    def domain_dim(self) -> int:
-        return self._dom
-
-    @property
-    def codomain_dim(self) -> int:
-        return self._cod
-
-    def entry(self, row: int, col: int) -> Fraction:
-        return self._entries.get((row, col), _ZERO)
-
-    def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        return iter(self._entries.items())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinOp)
-            and self._dom == other._dom
-            and self._cod == other._cod
-            and self._entries == other._entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._dom, self._cod, frozenset(self._entries.items())))
-
-    def __repr__(self) -> str:
-        return f"LinOp({self._dom}->{self._cod}, {len(self._entries)} entries)"
-
-    def apply(self, x: FinVector) -> FinVector:
-        if x.dim != self._dom:
-            raise ShapeError(f"argument dim {x.dim}, expected {self._dom}")
-        acc = [_ZERO] * self._cod
-        for (r, c), v in self._entries.items():
-            xc = x[c]
-            if xc != 0:
-                acc[r] += v * xc
-        return FinVector(acc)
-
-    def order_adjoint(self) -> "LinOp":
-        """T': Q^cod -> Q^dom with T'(f) = f o T, i.e. the transpose."""
-        return LinOp(
-            self._cod,
-            self._dom,
-            {(c, r): v for (r, c), v in self._entries.items()},
-        )
-
-    def second_adjoint(self) -> "LinOp":
-        """T'' computed genuinely as the adjoint of the adjoint."""
-        return self.order_adjoint().order_adjoint()
-
-    def as_tensor(self) -> MultiTensor:
-        return MultiTensor(
-            (self._dom,),
-            self._cod,
-            {(r, (c,)): v for (r, c), v in self._entries.items()},
-        )
-
-    @classmethod
-    def from_tensor(cls, tensor: MultiTensor) -> "LinOp":
-        if tensor.m != 1:
-            raise ShapeError("only arity-1 tensors describe linear operators")
-        return cls(
-            tensor.domain_dims[0],
-            tensor.codomain_dim,
-            {(k, idx[0]): v for (k, idx), v in tensor.items()},
-        )
-
-    def is_dp(self) -> DPVerdict:
-        return self.as_tensor().is_dp()
-
-
-# -- positive-cone extension -----------------------------------------------------
-
-
-def extend_from_positive_cone(
-    atom_values: Mapping[tuple[int, ...], FinVector],
-    domain_dims: Sequence[int],
-    codomain_dim: int,
-) -> MultiTensor:
-    """Multilinear extension of a map given on positive atom tuples.
-
-    ``atom_values`` assigns an output vector to index tuples of atoms;
-    missing tuples mean zero. Additivity in each slot over the positive
-    cone determines the operator there, and the unique multilinear
-    extension to the whole space has exactly these atom values as its
-    tensor entries. :func:`sign_expansion_value` evaluates the same
-    extension at arbitrary arguments by splitting each one into positive
-    and negative parts, so the tensor only ever sees positive vectors.
-    """
-    dims = tuple(int(d) for d in domain_dims)
-    entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for idx, vec in atom_values.items():
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != len(dims) or any(not 0 <= i < d for i, d in zip(idx, dims)):
-            raise ShapeError(f"atom tuple {idx} out of range for dims {dims}")
-        if vec.dim != codomain_dim:
-            raise ShapeError(f"value at {idx} has dim {vec.dim}, expected {codomain_dim}")
-        for k in range(codomain_dim):
-            if vec[k] != 0:
-                entries[(k, idx)] = vec[k]
-    return MultiTensor(dims, codomain_dim, entries)
-
-
-def sign_expansion_value(
-    atom_values: Mapping[tuple[int, ...], FinVector],
-    domain_dims: Sequence[int],
-    codomain_dim: int,
-    args: Sequence[FinVector],
-) -> FinVector:
-    """Evaluate the positive-cone extension at arbitrary arguments.
-
-    Each argument splits as x = x+ - x-; expanding multilinearly gives a
-    signed sum over the 2^m choices of part per slot, every term of which
-    only ever sees positive vectors. For arity 2 this is the familiar
-    four-term expression B(x+,y+) - B(x+,y-) - B(x-,y+) + B(x-,y-).
-    """
-    m = len(domain_dims)
-    if len(args) != m:
-        raise ShapeError(f"expected {m} arguments, got {len(args)}")
-    tensor = extend_from_positive_cone(atom_values, domain_dims, codomain_dim)
-    total = FinVector.zero(codomain_dim)
-    for signs in itertools.product((0, 1), repeat=m):
-        parts = [
-            args[i].pos() if s == 0 else args[i].neg() for i, s in enumerate(signs)
-        ]
-        term = tensor.apply(parts)
-        if sum(signs) % 2 == 0:
-            total = total + term
+    out: dict[tuple, Fraction] = {}
+    for idx, value in entries.items():
+        c = coefficient(idx[0])
+        if c == 0:
+            continue
+        if c != 1:
+            value = c * value
+        rest = idx[1:]
+        prev = out.get(rest)
+        if prev is None:
+            out[rest] = value
+            continue
+        acc = prev + value
+        if acc == 0:
+            del out[rest]
         else:
-            total = total - term
-    return total
+            out[rest] = acc
+    return out
 
 
 # -- scalar factorization ----------------------------------------------------------

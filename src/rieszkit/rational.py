@@ -10,10 +10,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-# "p" or "p/q" with integer p and positive integer q. Decimal points,
-# exponents, signs inside the denominator and a zero denominator are all
-# rejected, even though Fraction() itself would accept some of them.
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# "p" or "p/q" with integer p and positive integer q, in ASCII digits only,
+# so each number has one spelling. Decimal points, exponents, whitespace,
+# underscores, other Unicode digits, signs inside the denominator and a zero
+# denominator are all rejected, even though Fraction() accepts some of them.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 class DigitLimitError(ValueError):
@@ -22,7 +23,7 @@ class DigitLimitError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse a "p/q" (or bare "p") literal into an exact Fraction."""
-    if not isinstance(text, str) or _RATIONAL_RE.match(text) is None:
+    if not isinstance(text, str) or _RATIONAL_RE.fullmatch(text) is None:
         raise ValueError(f"not a rational literal of the form p/q: {text!r}")
     try:
         return Fraction(text)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from .fileformat import index_key
 from .operators import DPVerdict, DPWitness
 from .rational import format_rational, parse_rational
 from .vectors import FinVector
@@ -50,9 +51,10 @@ def witness_from_obj(obj) -> DPWitness:
         slot=obj["slot"] - 1,
         x=vector_from_obj(obj["x"]),
         y=vector_from_obj(obj["y"]),
-        fixed=tuple(
-            (int(i) - 1, vector_from_obj(v)) for i, v in sorted(obj["fixed"].items(), key=lambda kv: int(kv[0]))
-        ),
+        fixed=tuple(sorted(
+            ((index_key(i, "witness slot") - 1, vector_from_obj(v)) for i, v in obj["fixed"].items()),
+            key=lambda pair: pair[0],
+        )),
         image_x=vector_from_obj(obj["image_x"]),
         image_y=vector_from_obj(obj["image_y"]),
     )

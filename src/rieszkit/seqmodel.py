@@ -18,7 +18,8 @@ The diagonal bilinear map (x, y) |-> (w_n x_n y_n) and weighted
 composition operators x |-> (w_k x_{sigma(k)}) live here. Their bidual
 extensions have closed forms; the functions below compute the closed form
 and then re-derive it through the definitional pipeline (adjoint pairings,
-or the contraction chain shared with :mod:`rieszkit.arens`) at
+or the sparse contraction :func:`rieszkit.operators._contract_entries`,
+which the Arens chain of :mod:`rieszkit.arens` also runs) at
 finitely many probe indices, so the identifications stay checked rather
 than assumed.
 
@@ -35,8 +36,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .arens import Permutation, _contract_entries
-from .operators import ShapeError
+from .operators import ShapeError, _contract_entries
 from .rational import as_fraction
 from .sampling import random_rational
 
@@ -44,6 +44,8 @@ _ZERO = Fraction(0)
 
 # Disjoint range elements certifying an infinite lattice rank.
 RANK_CERTIFICATE = 32
+# The two slot orders of a bilinear map's bidual extensions.
+_ORDERS = ((0, 1), (1, 0))
 
 
 class EvConstSeq:
@@ -151,9 +153,6 @@ class EvConstSeq:
     def __abs__(self) -> "EvConstSeq":
         return EvConstSeq({k: abs(v) for k, v in self._exc.items()}, abs(self._tail))
 
-    def abs(self) -> "EvConstSeq":
-        return self.__abs__()
-
     def pos(self) -> "EvConstSeq":
         return self.sup(EvConstSeq.zero())
 
@@ -230,7 +229,7 @@ def diag_apply(op: DiagBilinear, x: EvConstSeq, y: EvConstSeq) -> EvConstSeq:
 
 def diag_arens_pair(
     op: DiagBilinear,
-    rho: Permutation,
+    order: tuple[int, int],
     u: EvConstSeq,
     v: EvConstSeq,
     y_prime: EvConstSeq,
@@ -238,11 +237,13 @@ def diag_arens_pair(
     """Definitional bidual extension value <extension(u, v), y_prime>.
 
     Builds the scalar form y_prime o A (finitely supported since y_prime
-    is), permutes its two slots into rho-order, then contracts against the
-    biduals in that order. Every intermediate form stays finite.
+    is), then contracts it against the biduals in the slot ``order``,
+    (0, 1) or (1, 0). The form is diagonal, so permuting its slots into
+    that order leaves its entries as they are. Every intermediate form
+    stays finite.
     """
-    if rho.m != 2:
-        raise ShapeError("the diagonal map is bilinear; need a permutation of 2 slots")
+    if order not in _ORDERS:
+        raise ShapeError(f"need a slot order (0, 1) or (1, 0) of the bilinear map, got {order!r}")
     if y_prime.tail != 0:
         raise ValueError("y_prime must be finitely supported")
     entries: dict[tuple[int, ...], Fraction] = {}
@@ -250,30 +251,22 @@ def diag_arens_pair(
         value = c * op.weight.value_at(n)
         if value != 0:
             entries[(n, n)] = value
-    entries = {(idx[rho(0)], idx[rho(1)]): val for idx, val in entries.items()}
+    first, second = order
     args = (u, v)
-    after_first = _contract_entries(entries, args[rho(0)].value_at)
-    after_second = _contract_entries(after_first, args[rho(1)].value_at)
+    after_first = _contract_entries(entries, args[first].value_at)
+    after_second = _contract_entries(after_first, args[second].value_at)
     return after_second.get((), _ZERO)
 
 
-def diag_arens(
-    op: DiagBilinear,
-    u: EvConstSeq,
-    v: EvConstSeq,
-    rho: Permutation | None = None,
-) -> EvConstSeq:
+def diag_arens(op: DiagBilinear, u: EvConstSeq, v: EvConstSeq) -> EvConstSeq:
     """Bidual extension of the diagonal map at (u, v), as an EvConstSeq.
 
     The closed form is (w_n u_n v_n). Before returning it, the definitional
     pipeline is evaluated at the coordinate functionals of every exceptional
     index plus one tail index, for both slot orders; the two extensions
     agree here (the diagonal map is symmetric in its slots), and the probe
-    comparison keeps the closed form tied to the definition. ``rho`` is
-    accepted for interface symmetry; both orders are checked regardless.
+    comparison keeps the closed form tied to the definition.
     """
-    if rho is not None and rho.m != 2:
-        raise ShapeError("the diagonal map is bilinear; need a permutation of 2 slots")
     _check_probes(diag_probe_pairs(op, u, v), "extension pipeline disagrees with closed form")
     return op.weight.pointwise_mul(u).pointwise_mul(v)
 
@@ -298,11 +291,10 @@ def diag_probe_pairs(
         set(op.weight.exceptions) | set(u.exceptions) | set(v.exceptions)
     )
     probes.append(max(probes, default=0) + 1)
-    orders = [Permutation.identity(2), Permutation((1, 0))]
     for k in probes:
         functional = EvConstSeq.atom(k)
         expected = closed.value_at(k)
-        for order in orders:
+        for order in _ORDERS:
             yield k, diag_arens_pair(op, order, u, v, functional), expected
 
 
@@ -474,10 +466,6 @@ def random_seq(
         if rng.random() < 0.4
     }
     return EvConstSeq(exc, tail)
-
-
-def random_functional(rng: random.Random, *, max_index: int = 8) -> EvConstSeq:
-    return random_seq(rng, max_index=max_index, tail_zero=True)
 
 
 def random_weighted_comp(rng: random.Random) -> WeightedCompOp:

@@ -79,6 +79,24 @@ def test_unexpected_error_exits_3(monkeypatch, capsys):
     assert err == "error: internal RuntimeError: handler crashed\n"
 
 
+def loaded_after(argvs, modules):
+    """Exit codes of cli.main over argvs in one fresh interpreter, and which of modules it loaded."""
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, json, sys
+        import rieszkit.cli
+        codes = []
+        for argv in {argvs!r}:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(rieszkit.cli.main(argv))
+        print(json.dumps({{"codes": codes, "loaded": sorted({set(modules)!r} & set(sys.modules))}}))
+        """
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
 def test_tensor_commands_import_only_what_they_run(tmp_path):
     # Structural, not timed: start-up cost is the modules a process imports
     # (and, without cached bytecode, compiles), so tensor subcommands must not
@@ -92,21 +110,20 @@ def test_tensor_commands_import_only_what_they_run(tmp_path):
         ["factorize", str(fixture("t_single.json"))],
         ["replay", str(report), str(fixture("t_diag.json"))],
     ]
-    script = textwrap.dedent(
-        f"""
-        import contextlib, io, json, sys
-        import rieszkit.cli
-        codes = []
-        for argv in {argvs!r}:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                codes.append(rieszkit.cli.main(argv))
-        heavy = {{"rieszkit.arens", "rieszkit.seqmodel", "rieszkit.sampling", "dataclasses"}}
-        print(json.dumps({{"codes": codes, "loaded": sorted(heavy & set(sys.modules))}}))
-        """
-    )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True)
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == {"codes": [1, 0, 0, 0, 0], "loaded": []}
+    heavy = ["rieszkit.arens", "rieszkit.seqmodel", "rieszkit.sampling", "dataclasses"]
+    assert loaded_after(argvs, heavy) == {"codes": [1, 0, 0, 0, 0], "loaded": []}
+
+
+def test_seq_demo_does_not_import_arens(tmp_path):
+    # the sequence model shares only the sparse contraction, which lives in operators
+    report = tmp_path / "report.json"
+    report.write_bytes(run("seq-demo", "--seed", "3", "--json").stdout)
+    argvs = [
+        ["seq-demo"],
+        ["seq-demo", "--weight-file", str(fixture("d_decay.json"))],
+        ["replay", str(report)],
+    ]
+    assert loaded_after(argvs, ["rieszkit.arens"]) == {"codes": [0, 0, 0], "loaded": []}
 
 
 def test_reports_byte_identical():
@@ -344,6 +361,28 @@ def test_json_past_decoder_limits_is_an_input_error(tmp_path, capsys, argv, text
     path.write_text(text)
     assert cli.main([a.format(path=path) for a in argv]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key", ["²", "٣", "1" * 5000, "9" * 4300], ids=["superscript", "arabic-indic", "5000-digits", "4300-digits"]
+)
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["seq-demo", "--weight-file"], lambda key: {"exceptions": {key: "2"}, "tail": "1"}),
+        (["check-dp"], lambda key: {"kind": "weighted-comp", "weight": {"tail": "1"}, "table": {key: 1}}),
+    ],
+    ids=["seq-demo", "check-dp"],
+)
+def test_bad_index_key_is_an_input_error(tmp_path, capsys, key, argv, spec):
+    # int() ran outside the input-error net (exit 3), "٣" was read as index 3,
+    # and seq-demo could not write the rank certificate past 10**4300 - 1 (exit 3)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec(key)))
+    for mode in ([], ["--json"]):
+        assert cli.main(argv + [str(path)] + mode) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and repr(key)[:21] in err and "internal" not in err
 
 
 def test_replay_past_the_digit_limit_names_the_limit(tmp_path, capsys):

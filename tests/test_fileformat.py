@@ -3,6 +3,7 @@
 import json
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -103,11 +104,21 @@ def test_seq_json_round_trip():
     assert parse_seq(obj) == seq
 
 
-def test_seq_rejects_bad_indices():
-    with pytest.raises(SpecFileError):
-        parse_seq({"exceptions": {"0": "1"}, "tail": "0"})
-    with pytest.raises(SpecFileError):
-        parse_seq({"exceptions": {"x": "1"}, "tail": "0"})
+@pytest.mark.parametrize(
+    "key",
+    ["0", "x", "²", "٣", "３", "1" * 5000, "-1", "+1", " 1", ""],
+    ids=["zero", "letter", "superscript", "arabic-indic", "fullwidth", "5000-digits", "minus", "plus", "space", "empty"],
+)
+def test_seq_rejects_bad_indices(key):
+    # each bad key is an input error that names the key, never a ValueError from int()
+    named = re.escape(repr(key)[:21])
+    with pytest.raises(SpecFileError, match=named):
+        parse_seq({"exceptions": {key: "1"}, "tail": "0"})
+    with pytest.raises(SpecFileError, match=named):
+        loads_spec(json.dumps({"kind": "weighted-comp", "weight": {"tail": "1"}, "table": {key: 1}}))
+
+
+def test_seq_rejects_unknown_keys():
     with pytest.raises(SpecFileError):
         parse_seq({"tail": "0", "stray": 1})
 

@@ -11,13 +11,10 @@ from hypothesis import given, settings, strategies as st
 import rieszkit
 from rieszkit import (
     FinVector,
-    LinOp,
     MultiTensor,
     NotDisjointnessPreserving,
     ShapeError,
-    extend_from_positive_cone,
     factorize_multimorphism,
-    sign_expansion_value,
 )
 from rieszkit.sampling import (
     random_dp_tensor,
@@ -381,51 +378,21 @@ def test_range_basis_matches_closure(t):
     assert len(basis) == rank_oracle(t)
 
 
-# -- linear operators and biduals --------------------------------------------------
+# -- sign expansion --------------------------------------------------------------
 
 
-def test_adjoint_pairing():
-    rng = random.Random(8)
-    op = LinOp.from_tensor(random_tensor(rng, (3,), 2, density=0.8))
-    for _ in range(40):
-        x = random_vector(rng, op.domain_dim)
-        f = random_vector(rng, op.codomain_dim)
-        assert op.apply(x).dot(f) == x.dot(op.order_adjoint().apply(f))
-
-
-def test_second_adjoint_extends():
-    rng = random.Random(9)
-    for _ in range(30):
-        t = random_tensor(rng, (3,), 3, density=0.6)
-        op = LinOp.from_tensor(t)
-        x = random_vector(rng, 3)
-        assert op.second_adjoint().apply(x) == op.apply(x)
-        assert op.second_adjoint().as_tensor() == op.as_tensor()
-
-
-# -- positive-cone extension -------------------------------------------------------
-
-
-def test_extension_from_atom_values():
+def test_sign_expansion_matches_apply():
+    # x = x+ - x- in every slot: the 2^m signed terms see only positive vectors
     rng = random.Random(11)
     for _ in range(40):
-        dims = (2, rng.choice([2, 3]))
+        dims = tuple(rng.choice([2, 3]) for _ in range(rng.randint(1, 3)))
         t = random_tensor(rng, dims, 2, density=0.7)
-        atom_values = {
-            idx: t.apply([FinVector.atom(dims[0], idx[0]), FinVector.atom(dims[1], idx[1])])
-            for idx in itertools.product(range(dims[0]), range(dims[1]))
-        }
-        rebuilt = extend_from_positive_cone(atom_values, dims, 2)
-        assert rebuilt == t
         args = [random_vector(rng, d) for d in dims]
-        assert sign_expansion_value(atom_values, dims, 2, args) == t.apply(args)
-
-
-def test_extension_shape_errors():
-    with pytest.raises(ShapeError):
-        extend_from_positive_cone({(0, 5): FinVector([1])}, (2, 2), 1)
-    with pytest.raises(ShapeError):
-        extend_from_positive_cone({(0, 0): FinVector([1, 2])}, (2, 2), 1)
+        total = FinVector.zero(2)
+        for signs in itertools.product((0, 1), repeat=len(dims)):
+            term = t.apply([x.neg() if s else x.pos() for x, s in zip(args, signs)])
+            total = total - term if sum(signs) % 2 else total + term
+        assert total == t.apply(args)
 
 
 # -- factorization -----------------------------------------------------------------

@@ -14,7 +14,10 @@ def test_parse_plain_and_fraction():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "1.5", "1/0", "1/-2", "a", "1 / 2", "--3", "1/+2", "0x2", "2/02"]
+    "bad",
+    ["", "1.5", "1/0", "1/-2", "a", "1 / 2", "--3", "1/+2", "0x2", "2/02"]
+    # one spelling per number: other Unicode digits and padding are not 3
+    + ["٣", "３", "1/٣", "٣/2", "-３", "৩/৪", "3\n", " 3", "1_000"],
 )
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):

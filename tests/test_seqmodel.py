@@ -17,7 +17,7 @@ from rieszkit import (
     DiagBilinear,
     EvConstSeq,
     MultiTensor,
-    Permutation,
+    ShapeError,
     WeightedCompOp,
     comp_adjoint,
     comp_apply,
@@ -155,7 +155,7 @@ def test_diag_arens_examples():
 def test_diag_arens_pipeline_agreement():
     # closed form vs the flip-and-contract definition, all y' supported in 1..64
     rng = random.Random(2)
-    orders = [Permutation.identity(2), Permutation((1, 0))]
+    orders = [(0, 1), (1, 0)]
     for _ in range(10):
         op = DiagBilinear(random_seq(rng))
         u, v = random_seq(rng), random_seq(rng)
@@ -173,9 +173,11 @@ def test_diag_arens_both_orders_agree_on_mixed_functionals():
         op = DiagBilinear(random_seq(rng))
         u, v = random_seq(rng), random_seq(rng)
         y = random_seq(rng, tail_zero=True)
-        lhs = diag_arens_pair(op, Permutation.identity(2), u, v, y)
-        rhs = diag_arens_pair(op, Permutation((1, 0)), u, v, y)
+        lhs = diag_arens_pair(op, (0, 1), u, v, y)
+        rhs = diag_arens_pair(op, (1, 0), u, v, y)
         assert lhs == rhs == pair(diag_arens(op, u, v), y)
+    with pytest.raises(ShapeError):
+        diag_arens_pair(op, (0, 0), u, v, y)
 
 
 # -- weighted composition ------------------------------------------------------------
