@@ -13,9 +13,15 @@ After m contractions a scalar remains; running the chain over atom
 biduals assembles the extension's tensor, which on these coordinatewise
 spaces always equals the original tensor (every space is reflexive, so
 restricting the extension along the canonical embeddings recovers A).
-The pipeline is kept honest anyway: each permutation goes through its own
-contraction order, and the recorded intermediate forms genuinely differ
-between permutations whenever the tensor has no accidental slot symmetry.
+Each permutation still goes through its own contraction order.
+
+The trace runs the chain on all-ones biduals instead. Once the slots of a
+set S are contracted that way, the form no longer depends on the order
+they were taken in, so the traces of all m! permutations share the 2^m
+subset marginals of each slice (:func:`_marginal`, Yates' recursion for
+2^m factorial tables). A chain is the m + 1 marginals along the prefixes
+of rho, each read in rho order; the chains of different permutations
+differ in which marginals they pass through and in slot order.
 
 The contraction core, :func:`rieszkit.operators._contract_entries`, is
 shared with the sequence model (:mod:`rieszkit.seqmodel`), which runs the
@@ -75,13 +81,21 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, text: str, m: int) -> "Permutation":
-        """Parse 1-based cycle notation such as "(1 2)(3)"."""
+        """Parse 1-based cycle notation such as "(1 2)(3)".
+
+        Cycle points are ASCII digits only, so "(1 ٢)", "(+1 2)" and
+        "(1 2_0)" are errors rather than other spellings of a point.
+        """
         if not re.fullmatch(r"\s*(\([^()]*\)\s*)+", text):
             raise ValueError(f"not cycle notation: {text!r}")
         images = list(range(m))
         seen: set[int] = set()
         for body in re.findall(r"\(([^()]*)\)", text):
-            points = [int(p) for p in body.split()]
+            words = body.split()
+            for word in words:
+                if not re.fullmatch("[0-9]+", word):
+                    raise ValueError(f"cycle point {word!r} is not a number in ASCII digits")
+            points = [int(word) for word in words]
             if any(not 1 <= p <= m for p in points):
                 raise ValueError(f"cycle point out of range 1..{m}: {body!r}")
             if len(set(points)) != len(points) or seen & set(points):
@@ -271,27 +285,106 @@ def arens_extension(
     completely. Each output slice is permuted into rho-order once, then
     contracted against every atom of one slot per level (see
     :func:`_assemble`), so each output coordinate costs one pass per level.
+    The trace is built from the slice's subset marginals (see
+    :func:`_marginal`), each permuted into rho order.
     """
     if rho.m != tensor.m:
         raise ShapeError(f"permutation arity {rho.m} against tensor arity {tensor.m}")
-    labels = tuple(range(tensor.m))
+    slices = tensor.slices()
+    result = _extension(tensor, slices, rho)
+    if not with_trace:
+        return ArensResult(rho, result)
+    masks = chain_masks(rho)
+    trace = {
+        k: tuple(
+            _in_rho_order(tensor.domain_dims, rho, l, memo[mask])
+            for l, mask in enumerate(masks)
+        )
+        for k, memo in trace_marginals(slices, [rho]).items()
+    }
+    return ArensResult(rho, result, trace)
+
+
+def _extension(
+    tensor: MultiTensor, slices: dict[int, dict[tuple[int, ...], Fraction]], rho: Permutation
+) -> MultiTensor:
+    """The rho-extension tensor from the tensor's ``slices()``, computed once per caller."""
+    order = tuple(rho(l) for l in range(rho.m))
     inverse = tuple(rho.apply_inverse(i) for i in range(rho.m))
     entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    trace: dict[int, tuple[IntermediateForm, ...]] = {}
-    for k, slice_entries in tensor.slices().items():
-        slice_form = IntermediateForm._derived(tensor.domain_dims, labels, slice_entries)
-        permuted = permute_form(slice_form, rho)
-        if with_trace:
-            chain = [permuted]
-            form = permuted
-            while not form.is_scalar():
-                form = contract(FinVector.ones(form.dims[0]), form)
-                chain.append(form)
-            trace[k] = tuple(chain)
-        for chosen, value in _assemble(permuted.entries, rho.m).items():
+    for k, slice_entries in slices.items():
+        permuted = {tuple([idx[i] for i in order]): v for idx, v in slice_entries.items()}
+        for chosen, value in _assemble(permuted, rho.m).items():
             entries[(k, tuple([chosen[l] for l in inverse]))] = value
-    result = MultiTensor._derived(tensor.domain_dims, tensor.codomain_dim, entries)
-    return ArensResult(rho, result, trace if with_trace else None)
+    return MultiTensor._derived(tensor.domain_dims, tensor.codomain_dim, entries)
+
+
+def chain_masks(rho: Permutation) -> list[int]:
+    """Contracted-slot bitmasks along rho's chain, one per trace form.
+
+    Bit i stands for the 0-based slot i. The list starts at 0 (nothing
+    contracted) and adds rho(1), then rho(2), ..., up to all m slots.
+    """
+    masks = [0]
+    for l in range(rho.m):
+        masks.append(masks[-1] | 1 << rho(l))
+    return masks
+
+
+def _one(_: int) -> int:
+    return 1
+
+
+def _marginal(
+    memo: dict[int, dict[tuple[int, ...], Fraction]], contracted: int, slot: int
+) -> None:
+    """Add the slice marginal over the slots of ``contracted`` plus ``slot`` to ``memo``.
+
+    ``memo`` maps a contracted-slot bitmask S to the slice form contracted
+    against all-ones in the slots of S, with its remaining slots in
+    ascending order. It starts as {0: slice entries}, and ``contracted``
+    must already be in it: the new marginal is one contraction of that
+    parent in ``slot``.
+    """
+    position = slot - bin(contracted & ((1 << slot) - 1)).count("1")
+    memo[contracted | 1 << slot] = _contract_entries(memo[contracted], _one, position)
+
+
+def trace_marginals(
+    slices: dict[int, dict[tuple[int, ...], Fraction]], rhos: Sequence[Permutation]
+) -> dict[int, dict[int, dict[tuple[int, ...], Fraction]]]:
+    """Per output coordinate, the marginals on the chains of ``rhos``.
+
+    Each coordinate's marginals are keyed by contracted-slot bitmask (see
+    :func:`chain_masks`), with their remaining slots in ascending order.
+    After the slots of S are contracted the form no longer depends on their
+    order, so one memo per coordinate serves every chain and each marginal
+    is built once: a coordinate costs at most 2^m - 1 contractions however
+    many permutations are asked for.
+    """
+    steps: dict[int, tuple[int, int]] = {}  # marginal -> (parent, slot contracted)
+    for rho in rhos:
+        masks = chain_masks(rho)
+        for l in range(rho.m):
+            steps[masks[l + 1]] = (masks[l], rho(l))
+    out = {}
+    for k, slice_entries in slices.items():
+        memo = {0: slice_entries}
+        for mask in sorted(steps):  # a parent's mask is below its child's
+            _marginal(memo, *steps[mask])
+        out[k] = memo
+    return out
+
+
+def _in_rho_order(
+    dims: tuple[int, ...], rho: Permutation, level: int, marginal: dict[tuple[int, ...], Fraction]
+) -> IntermediateForm:
+    """The chain form at ``level``: a marginal with its slots read rho(level + 1), ..., rho(m)."""
+    remaining = tuple(rho(l) for l in range(level, rho.m))
+    ascending = sorted(remaining)
+    where = [ascending.index(slot) for slot in remaining]
+    entries = {tuple([idx[p] for p in where]): v for idx, v in marginal.items()}
+    return IntermediateForm._derived(tuple(dims[s] for s in remaining), remaining, entries)
 
 
 def _assemble(

@@ -78,14 +78,19 @@ def _perm_choices(text: str, m: int) -> list[Permutation]:
         raise SpecFileError(str(exc)) from exc
 
 
-def _form_obj(form) -> dict:
-    """Wire form of a trace form: each entry is [i_1, ..., i_k, "p/q"], 1-based."""
+def _marginal_obj(dims: tuple[int, ...], mask: int, entries: dict) -> dict:
+    """Wire form of a trace marginal: its remaining slots ascending, 1-based.
+
+    Each entry is [i_1, ..., i_k, "p/q"], an index tuple over those slots
+    followed by the value.
+    """
+    slots = [s for s in range(len(dims)) if not mask >> s & 1]
     return {
-        "dims": list(form.dims),
-        "slots": [l + 1 for l in form.labels],
+        "dims": [dims[s] for s in slots],
+        "slots": [s + 1 for s in slots],
         "entries": [
             [i + 1 for i in idx] + [format_rational(v)]
-            for idx, v in sorted(form.entries.items())
+            for idx, v in sorted(entries.items())
         ],
     }
 
@@ -107,23 +112,24 @@ def _report_check_dp(tensor: MultiTensor, digest: str, args: dict) -> tuple[int,
 
 
 def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dict]:
-    from .arens import arens_extension
+    from .arens import _extension, chain_masks, trace_marginals
 
     perms = _perm_choices(args["perm"], tensor.m)
     with_trace = args["trace"]
     input_verdict = tensor.is_dp()
     input_obj = tensor_to_obj(tensor)
+    slices = tensor.slices()
     checks = [check("input-dp", input_verdict.is_dp)]
     extensions = []
     for rho in perms:
-        result = arens_extension(tensor, rho, with_trace=with_trace)
+        result = _extension(tensor, slices, rho)
         name = "perm " + " ".join(str(i) for i in rho.one_line())
-        restricted = result.tensor == tensor
+        restricted = result == tensor
         # An extension equal to the input shares its verdict and wire form.
         if restricted:
             verdict, tensor_obj = input_verdict, input_obj
         else:
-            verdict, tensor_obj = result.tensor.is_dp(), tensor_to_obj(result.tensor)
+            verdict, tensor_obj = result.is_dp(), tensor_to_obj(result)
         checks.append(check(f"restriction [{name}]", restricted))
         if input_verdict.is_dp:
             checks.append(check(f"dp-preserved [{name}]", verdict.is_dp))
@@ -133,14 +139,20 @@ def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, di
             "tensor": tensor_obj,
         }
         if with_trace:
-            entry["trace"] = {
-                str(k + 1): [_form_obj(f) for f in chain]
-                for k, chain in result.trace.items()
-            }
+            entry["trace"] = chain_masks(rho)
         extensions.append(entry)
     witness = (
         None if input_verdict.witness is None else witness_to_obj(input_verdict.witness)
     )
+    detail = {"extensions": extensions, "args": args}
+    if with_trace:
+        detail["marginals"] = {
+            str(k + 1): {
+                str(mask): _marginal_obj(tensor.domain_dims, mask, entries)
+                for mask, entries in memo.items()
+            }
+            for k, memo in trace_marginals(slices, perms).items()
+        }
     report = build_report(
         "arens",
         digest,
@@ -151,7 +163,7 @@ def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, di
             "entries": tensor.nnz(),
             "codomain": tensor.codomain_dim,
         },
-        detail={"extensions": extensions, "args": args},
+        detail=detail,
     )
     return (0 if report["ok"] else 1), report
 

@@ -99,12 +99,16 @@ def _int_field(obj: dict, key: str, what: str) -> int:
 def index_key(key, what: str) -> int:
     """A 1-based index written as a JSON object key, in ASCII digits only.
 
-    The key must also stay below the int-to-str digit limit by a digit:
-    reports write indices a few past the largest one read (the rank
-    certificate of seq-demo), and those must convert back to text.
+    A leading zero is refused, so each index has one spelling and two keys
+    such as "1" and "01" cannot silently name one index. The key must also
+    stay below the int-to-str digit limit by a digit: reports write indices
+    a few past the largest one read (the rank certificate of seq-demo), and
+    those must convert back to text.
     """
     if not (isinstance(key, str) and key.isascii() and key.isdigit()):
         raise SpecFileError(f"{what} {key!r} must be a 1-based integer string of ASCII digits")
+    if key.startswith("0") and key != "0":
+        raise SpecFileError(f"{what} {key!r} has a leading zero; write it without one")
     limit = sys.get_int_max_str_digits()
     if limit and len(key) >= limit:
         raise SpecFileError(

@@ -482,24 +482,28 @@ class MultiTensor:
 def _contract_entries(
     entries: Mapping[tuple, Fraction],
     coefficient: Callable[[object], Fraction],
+    position: int = 0,
 ) -> dict[tuple, Fraction]:
-    """Collapse the first index of a sparse form against a coefficient lookup.
+    """Collapse one index of a sparse form against a coefficient lookup.
 
     This is the pairing of a bidual element with the form read as a
-    dual-vector-valued map in its first index, written sparsely:
-    out[rest] = sum_j coefficient(j) * entries[(j,) + rest]. The Arens
-    chain (:func:`rieszkit.arens.contract`) runs it over slot indices and
-    the sequence model (:func:`rieszkit.seqmodel.diag_arens_pair`) over
-    sequence positions.
+    dual-vector-valued map in the index at ``position`` (the first by
+    default), written sparsely: out[rest] = sum_j coefficient(j) *
+    entries[idx], where idx has j at ``position`` and rest elsewhere. The
+    Arens chain (:func:`rieszkit.arens.contract`) runs it over slot
+    indices, the Arens trace marginals (:func:`rieszkit.arens._marginal`)
+    over any slot, and the sequence model
+    (:func:`rieszkit.seqmodel.diag_arens_pair`) over sequence positions.
     """
     out: dict[tuple, Fraction] = {}
+    after = position + 1
     for idx, value in entries.items():
-        c = coefficient(idx[0])
+        c = coefficient(idx[position])
         if c == 0:
             continue
         if c != 1:
             value = c * value
-        rest = idx[1:]
+        rest = idx[:position] + idx[after:]
         prev = out.get(rest)
         if prev is None:
             out[rest] = value

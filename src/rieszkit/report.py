@@ -102,9 +102,43 @@ def build_report(
     return report
 
 
-def report_json(report: dict) -> str:
+_STAND_IN = "\x00shared tensor"
+
+
+def _encode(obj) -> str:
     # No indent: CPython only uses its C encoder when indent is None.
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def report_json(report: dict) -> str:
+    """Compact canonical JSON: sorted keys, no insignificant whitespace, a newline."""
+    return (_spliced(report) or _encode(report)) + "\n"
+
+
+def _spliced(report: dict) -> str | None:
+    """``_encode(report)`` with the input's wire form encoded only once, or None.
+
+    ``report`` comes from :func:`build_report`, or is one decoded. Every
+    ``arens`` extension equal to the input holds the input's one
+    wire-form dict, so that dict is encoded once and its text spliced in at
+    each of them. A stand-in string marks the places; if its encoding shows
+    up anywhere else, or fewer than two extensions share the dict, the
+    result is None and the caller encodes the report whole.
+    """
+    detail = report.get("detail", {})
+    extensions = detail.get("extensions")
+    if not extensions:
+        return None
+    shared = extensions[0]["tensor"]
+    marked = [{**e, "tensor": _STAND_IN} if e["tensor"] is shared else e for e in extensions]
+    count = sum(e is not o for e, o in zip(marked, extensions))
+    if count < 2:
+        return None
+    text = _encode({**report, "detail": {**detail, "extensions": marked}})
+    marker = _encode(_STAND_IN)
+    if text.count(marker) != count:
+        return None
+    return text.replace(marker, _encode(shared))
 
 
 def render_human(report: dict) -> str:

@@ -1,6 +1,7 @@
 """The permutation-indexed extension pipeline."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from rieszkit import (
     span_disjointness,
 )
 from helpers import arens_reference, slot_asymmetric_tensor
+from rieszkit import cli
+from rieszkit.report import report_json
 from rieszkit.sampling import (
     disjoint_vector_pair,
     random_dp_tensor,
@@ -164,6 +167,31 @@ def test_extension_matches_per_node_reference(t):
         for k, chain in result.trace.items():
             assert chain == expected_trace[k]
             assert [f.labels for f in chain] == [f.labels for f in expected_trace[k]]
+
+
+def _plain_json(report):
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_tensors(), st.sampled_from(["all", "theta", "id"]), st.booleans())
+def test_report_json_equals_plain_dumps(t, perm, trace):
+    # report_json encodes the extension tensor shared with the input once
+    # and splices it in; the bytes must not change
+    _, report = cli._report_arens(t, "sha256:x", {"perm": perm, "trace": trace})
+    assert report_json(report) == _plain_json(report)
+
+
+def test_report_json_falls_back_when_the_stand_in_is_taken():
+    shared = {"entries": [], "n": 1}
+    extensions = [{"perm": [1], "tensor": shared}, {"perm": [2], "tensor": shared}]
+    for taken in ("\x00shared tensor", "x\x00shared tensory"):
+        for report in (
+            {"detail": {"extensions": extensions, "args": {"perm": taken}}},
+            {"detail": {"extensions": extensions + [{"tensor": {"s": taken}}]}},
+            {"detail": {"extensions": [{"tensor": {"s": taken}}] + extensions}},
+        ):
+            assert report_json(report) == _plain_json(report)
 
 
 def test_derived_objects_equal_validated_rebuilds():

@@ -136,28 +136,76 @@ def test_reports_byte_identical():
     assert first.stdout.decode() == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _unique_keys(pairs):
+    """object_pairs_hook for json.loads that fails on a key printed twice."""
+    keys = [key for key, _ in pairs]
+    assert len(keys) == len(set(keys)), keys
+    return dict(pairs)
+
+
 @pytest.mark.parametrize("name", ["t_m3.json", "t_m4.json"])
 def test_trace_wire_format(name):
-    # each trace form entry is [i_1, ..., i_k, "p/q"] with 1-based indices
-    report = json.loads(run("arens", fixture(name), "--perm", "all", "--trace", "--json").stdout)
+    # detail.marginals holds each output coordinate's marginals once, keyed
+    # by contracted-slot bitmask, slots ascending, entries [i_1, ..., i_k,
+    # "p/q"] 1-based; each extension's trace lists its chain's bitmasks.
+    # Decoded, every chain is arens_extension's trace, labels included.
     tensor = loads_spec(fixture(name).read_text())
-    for extension in report["detail"]["extensions"]:
-        rho = Permutation([i - 1 for i in extension["perm"]])
-        decoded = {
-            int(k) - 1: [
-                (
-                    tuple(form["dims"]),
-                    tuple(l - 1 for l in form["slots"]),
-                    {tuple(i - 1 for i in e[:-1]): parse_rational(e[-1]) for e in form["entries"]},
-                )
-                for form in chain
-            ]
-            for k, chain in extension["trace"].items()
-        }
-        expected = arens_extension(tensor, rho, with_trace=True).trace
-        assert decoded == {
-            k: [(f.dims, f.labels, f.entries) for f in chain] for k, chain in expected.items()
-        }
+    m = tensor.m
+    for perm in ("all", "theta", "(1 3 2)"):
+        result = run("arens", fixture(name), "--perm", perm, "--trace", "--json")
+        assert result.returncode == (0 if tensor.is_dp().is_dp else 1), result.stderr
+        report = json.loads(result.stdout, object_pairs_hook=_unique_keys)
+        marginals = report["detail"]["marginals"]
+        assert sorted(marginals) == [str(k + 1) for k in range(tensor.codomain_dim)]
+        used = set()
+        for extension in report["detail"]["extensions"]:
+            rho = Permutation([i - 1 for i in extension["perm"]])
+            masks = extension["trace"]
+            assert len(masks) == m + 1
+            used.update(masks)
+            decoded = {}
+            for k, forms in marginals.items():
+                chain = []
+                for level, mask in enumerate(masks):
+                    form = forms[str(mask)]
+                    slots = [l - 1 for l in form["slots"]]
+                    assert slots == [s for s in range(m) if not mask >> s & 1]
+                    labels = tuple(rho(l) for l in range(level, m))
+                    where = [slots.index(s) for s in labels]
+                    entries = {
+                        tuple(e[p] - 1 for p in where): parse_rational(e[-1]) for e in form["entries"]
+                    }
+                    chain.append((tuple(form["dims"][p] for p in where), labels, entries))
+                decoded[int(k) - 1] = chain
+            expected = arens_extension(tensor, rho, with_trace=True).trace
+            assert decoded == {
+                k: [(f.dims, f.labels, f.entries) for f in chain] for k, chain in expected.items()
+            }
+        # every printed marginal lies on a chain, and a coordinate prints each once
+        for forms in marginals.values():
+            assert sorted(map(int, forms)) == sorted(used)
+        assert len(used) == (2**m if perm == "all" else m + 1)
+
+
+@pytest.mark.parametrize("name", ["t_m3.json", "t_m4.json"])
+def test_trace_contracts_each_marginal_once(monkeypatch, capsys, name):
+    # all m! chains share one memo per output coordinate: at most 2^m - 1
+    # all-ones contractions each, not m per chain
+    import rieszkit.arens as arens
+
+    calls = []
+    contract_entries = arens._contract_entries
+
+    def counted(*args):
+        calls.append(args)
+        return contract_entries(*args)
+
+    monkeypatch.setattr(arens, "_contract_entries", counted)
+    tensor = loads_spec(fixture(name).read_text())
+    code = cli.main(["arens", str(fixture(name)), "--perm", "all", "--trace", "--json"])
+    assert code == (0 if tensor.is_dp().is_dp else 1)
+    capsys.readouterr()
+    assert 0 < len(calls) <= (2**tensor.m - 1) * tensor.codomain_dim
 
 
 def test_arens_perm_selection():
@@ -170,6 +218,21 @@ def test_arens_perm_selection():
     assert a["detail"]["extensions"][0]["perm"] == [2, 1]
     everything = json.loads(run("arens", fixture("t_m3.json"), "--json").stdout)
     assert len(everything["detail"]["extensions"]) == 6
+
+
+@pytest.mark.parametrize(
+    "text, point",
+    [("(1 ٢)", "٢"), ("(+1 2)", "+1"), ("(1 2_0)", "2_0"), ("(1 ２)", "２"), ("(1)(2 0x3)", "0x3")],
+    ids=["arabic-indic", "plus", "underscore", "fullwidth", "hex"],
+)
+def test_perm_cycle_points_are_ascii_digits(capsys, text, point):
+    # int() read each of these as a point: "(1 ٢)" ran as (1 2) and "(1 2_0)" named slot 20
+    for mode in ([], ["--json"]):
+        assert cli.main(["arens", str(fixture("t_m3.json")), "--perm", text] + mode) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and repr(point) in err and "internal" not in err
+    with pytest.raises(ValueError, match="ASCII digits"):
+        Permutation.from_cycles(text, 3)
 
 
 def test_arens_m4_and_non_dp_input():
@@ -364,7 +427,9 @@ def test_json_past_decoder_limits_is_an_input_error(tmp_path, capsys, argv, text
 
 
 @pytest.mark.parametrize(
-    "key", ["²", "٣", "1" * 5000, "9" * 4300], ids=["superscript", "arabic-indic", "5000-digits", "4300-digits"]
+    "key",
+    ["²", "٣", "1" * 5000, "9" * 4300, "01"],
+    ids=["superscript", "arabic-indic", "5000-digits", "4300-digits", "leading-zero"],
 )
 @pytest.mark.parametrize(
     "argv, spec",
@@ -383,6 +448,28 @@ def test_bad_index_key_is_an_input_error(tmp_path, capsys, key, argv, spec):
         assert cli.main(argv + [str(path)] + mode) == 2
         out, err = capsys.readouterr()
         assert out == "" and repr(key)[:21] in err and "internal" not in err
+
+
+@pytest.mark.parametrize("keys", [("1", "01"), ("01", "1")], ids=["zero-padded-last", "zero-padded-first"])
+def test_zero_padded_index_key_does_not_collapse(tmp_path, capsys, keys):
+    # "1" and "01" named one index, and whichever came last silently won
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps({"exceptions": dict(zip(keys, ("2", "3"))), "tail": "0"}))
+    for mode in ([], ["--json"]):
+        assert cli.main(["seq-demo", "--weight-file", str(path)] + mode) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "'01'" in err and "leading zero" in err
+
+
+def test_zero_padded_witness_slot_is_an_input_error(tmp_path, capsys):
+    # a stored witness slot "02" was read as slot 2 and replayed as valid
+    assert cli.main(["check-dp", str(fixture("t_diag.json")), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    report["witness"]["fixed"] = {"0" + k: v for k, v in report["witness"]["fixed"].items()}
+    stored = tmp_path / "report.json"
+    stored.write_text(json.dumps(report))
+    assert cli.main(["replay", str(stored), str(fixture("t_diag.json"))]) == 2
+    assert "'02'" in capsys.readouterr().err
 
 
 def test_replay_past_the_digit_limit_names_the_limit(tmp_path, capsys):

@@ -106,8 +106,11 @@ def test_seq_json_round_trip():
 
 @pytest.mark.parametrize(
     "key",
-    ["0", "x", "²", "٣", "３", "1" * 5000, "-1", "+1", " 1", ""],
-    ids=["zero", "letter", "superscript", "arabic-indic", "fullwidth", "5000-digits", "minus", "plus", "space", "empty"],
+    ["0", "x", "²", "٣", "３", "1" * 5000, "-1", "+1", " 1", "", "01", "007"],
+    ids=[
+        "zero", "letter", "superscript", "arabic-indic", "fullwidth", "5000-digits", "minus", "plus",
+        "space", "empty", "leading-zero", "leading-zeros",
+    ],
 )
 def test_seq_rejects_bad_indices(key):
     # each bad key is an input error that names the key, never a ValueError from int()

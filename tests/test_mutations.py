@@ -8,6 +8,12 @@ truncated. Every mutant runs in process through ``cli.main``, in human and
 tensor command that exits 1 must carry a witness, and in ``--json`` mode
 that witness must pass ``DPWitness.verify`` against the mutated spec. The
 generator is seeded by the fixture name, so every run sees the same mutants.
+
+Most of those mutants fail the strict tensor schema and exit 2, so each
+tensor fixture also gets mutants that keep the schema valid: an entry moved
+next to another one in that entry's slice, an entry's output coordinate
+set to an occupied one, or a value replaced by another nonzero rational.
+They reach a verdict, and the exit-1 witness check runs on them.
 """
 
 import json
@@ -76,6 +82,35 @@ def mutate(rng: random.Random, data: bytes) -> bytes:
     return text.replace(json.dumps(SENTINEL), rng.choice(LITERALS.get(kind, ("null",)))).encode()
 
 
+SCHEMA_MUTANTS = 8  # per tensor fixture with entries
+NONZERO = ["1", "-1", "2", "-7/3", "5/2", "1/9"]
+
+
+def mutate_entries(rng: random.Random, spec: dict) -> bytes:
+    """A tensor spec mutant that keeps the schema: move, reout or revalue one entry.
+
+    A move or reout needs a second entry; with one entry only the value changes.
+    Either may still repeat an occupied (out, idx), which is an input error.
+    """
+    spec = json.loads(json.dumps(spec))
+    entries = spec["entries"]
+    if len(entries) > 1:
+        a, b = rng.sample(entries, 2)
+        kind = rng.choice(("move", "reout", "revalue"))
+    else:
+        a, kind = entries[0], "revalue"
+    if kind == "move":  # a lands next to b, differing from it in one slot
+        idx = list(b["idx"])
+        slot = rng.randrange(len(idx))
+        idx[slot] = rng.choice([i for i in range(1, spec["domain_dims"][slot] + 1) if i != idx[slot]] or [idx[slot]])
+        a["out"], a["idx"] = b["out"], idx
+    elif kind == "reout":
+        a["out"] = b["out"]
+    else:
+        a["value"] = rng.choice([v for v in NONZERO if v != a["value"]])
+    return json.dumps(spec).encode()
+
+
 def holds_contract(capsys, argv, spec=None):
     """Run argv in both modes and check the contract; the --json stdout and exit code."""
     for mode in ([], ["--json"]):
@@ -115,3 +150,27 @@ def test_mutants_keep_the_exit_code_contract(tmp_path, capsys, name):
         for _ in range(MUTANTS):
             stored.write_bytes(mutate(rng, report.encode()))
             holds_contract(capsys, replay)
+
+
+ENTRY_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json") if json.loads(p.read_text()).get("entries"))
+
+
+@pytest.mark.parametrize("name", ENTRY_FIXTURES)
+def test_schema_preserving_mutants_reach_verdicts(tmp_path, capsys, name):
+    rng = random.Random(f"schema mutations {name}")
+    original = json.loads((FIXTURES / name).read_bytes())
+    spec = tmp_path / "spec.json"
+    verdicts = {c: 0 for c in TENSOR_COMMANDS}
+    failures = {c: 0 for c in TENSOR_COMMANDS}
+    for _ in range(SCHEMA_MUTANTS):
+        spec.write_bytes(mutate_entries(rng, original))
+        for command in TENSOR_COMMANDS:
+            code, _ = holds_contract(capsys, [command, str(spec)], spec)
+            verdicts[command] += code in (0, 1)
+            failures[command] += code == 1
+    # a repeated (out, idx) is the only way such a mutant exits 2, and it is rare
+    for command in ("check-dp", "arens", "modulus", "rank"):
+        assert verdicts[command] >= SCHEMA_MUTANTS - 2, (command, verdicts)
+    if len(original["entries"]) > 1:
+        witnessed = ["check-dp", "arens"] + (["factorize"] if original["codomain_dim"] == 1 else [])
+        assert all(failures[c] for c in witnessed), failures
