@@ -16,16 +16,13 @@ _EXPORTS = {
     "arens": (
         "ArensResult",
         "DpPreservationReport",
-        "IntermediateForm",
         "Permutation",
         "all_permutations",
         "arens_evaluate",
         "arens_extension",
         "check_dp_preservation",
-        "contract",
         "is_dp_functional",
         "pairing_identities",
-        "permute_form",
         "span_disjointness",
     ),
     "operators": (

@@ -20,8 +20,10 @@ set S are contracted that way, the form no longer depends on the order
 they were taken in, so the traces of all m! permutations share the 2^m
 subset marginals of each slice (:func:`_marginal`, Yates' recursion for
 2^m factorial tables). A chain is the m + 1 marginals along the prefixes
-of rho, each read in rho order; the chains of different permutations
-differ in which marginals they pass through and in slot order.
+of rho (:func:`chain_masks`). Every form, from a permuted slice to a
+marginal, is a plain dict from index tuples to nonzero Fractions; a
+marginal keeps its remaining slots in ascending order, so level l of rho's
+chain reads them in the order rho(l + 1), ..., rho(m).
 
 The contraction core, :func:`rieszkit.operators._contract_entries`, is
 shared with the sequence model (:mod:`rieszkit.seqmodel`), which runs the
@@ -45,10 +47,11 @@ from .operators import (
     ShapeError,
     _contract_entries,
 )
-from .sampling import random_vector
 from .vectors import FinVector
 
 _ZERO = Fraction(0)
+
+_Form = dict[tuple[int, ...], Fraction]  # a sparse form: index tuple -> nonzero value
 
 
 class Permutation:
@@ -144,136 +147,21 @@ def all_permutations(m: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-class IntermediateForm:
-    """Scalar-valued multilinear form on the slots still awaiting contraction.
-
-    ``dims`` are the remaining slot dimensions in contraction order and
-    ``labels`` remember which original slot each one is. Equality compares
-    dims and entries only: two forms are the same data regardless of how
-    their slots were labelled, which is what trace comparisons need.
-    """
-
-    __slots__ = ("_dims", "_labels", "_entries")
-
-    def __init__(
-        self,
-        dims: Sequence[int],
-        labels: Sequence[int],
-        entries: Mapping[tuple[int, ...], object],
-    ) -> None:
-        self._dims = tuple(int(d) for d in dims)
-        self._labels = tuple(int(l) for l in labels)
-        if len(self._dims) != len(self._labels):
-            raise ShapeError("dims and labels must align")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for idx, raw in entries.items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != len(self._dims) or any(
-                not 0 <= i < d for i, d in zip(idx, self._dims)
-            ):
-                raise ShapeError(f"index {idx} out of range for dims {self._dims}")
-            value = raw if isinstance(raw, Fraction) else Fraction(raw)
-            if value != 0:
-                clean[idx] = value
-        self._entries = clean
-
-    @classmethod
-    def _derived(
-        cls,
-        dims: tuple[int, ...],
-        labels: tuple[int, ...],
-        entries: dict[tuple[int, ...], Fraction],
-    ) -> "IntermediateForm":
-        """Wrap data derived from an already valid form or tensor, unchecked.
-
-        The caller guarantees int tuples of equal length, in-range index
-        tuples and nonzero Fraction values; ``entries`` is stored as given.
-        """
-        form = cls.__new__(cls)
-        form._dims = dims
-        form._labels = labels
-        form._entries = entries
-        return form
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self._dims
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return self._labels
-
-    @property
-    def entries(self) -> dict[tuple[int, ...], Fraction]:
-        return self._entries
-
-    def is_scalar(self) -> bool:
-        return not self._dims
-
-    def scalar(self) -> Fraction:
-        if self._dims:
-            raise ShapeError(f"{len(self._dims)} slots still to contract")
-        return self._entries.get((), _ZERO)
-
-    def content(self) -> tuple:
-        """Hashable content key: dims plus sorted entries, labels excluded."""
-        return (self._dims, tuple(sorted(self._entries.items())))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntermediateForm) and (
-            self._dims == other._dims and self._entries == other._entries
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.content())
-
-    def __repr__(self) -> str:
-        return f"IntermediateForm(dims={self._dims}, labels={self._labels}, {len(self._entries)} entries)"
-
-
-def permute_form(form: IntermediateForm, rho: Permutation) -> IntermediateForm:
-    """Rearrange a full-arity scalar form to read its slots in rho-order.
-
-    The result C_rho satisfies C_rho(x_1, ..., x_m) = C(x_{rho^-1(1)}, ...,
-    x_{rho^-1(m)}): its l-th slot is the original slot rho(l).
-    """
-    if rho.m != len(form.dims):
-        raise ShapeError(f"permutation of {rho.m} slots against {len(form.dims)}")
-    order = tuple(rho(l) for l in range(rho.m))
-    dims = tuple(form.dims[i] for i in order)
-    labels = tuple(form.labels[i] for i in order)
-    entries = {tuple([idx[i] for i in order]): v for idx, v in form.entries.items()}
-    return IntermediateForm._derived(dims, labels, entries)
-
-
-def contract(x_bidual: FinVector, form: IntermediateForm) -> IntermediateForm:
-    """Collapse the first remaining slot against a bidual element.
-
-    Equivalent to pairing x_bidual with the form read as a dual-vector-valued
-    map in that slot; computed sparsely over the entries instead of
-    materializing each dual vector.
-    """
-    if form.is_scalar():
-        raise ShapeError("no slot left to contract")
-    if x_bidual.dim != form.dims[0]:
-        raise ShapeError(
-            f"bidual dim {x_bidual.dim} against slot dim {form.dims[0]}"
-        )
-    entries = _contract_entries(form.entries, lambda j: x_bidual[j])
-    return IntermediateForm._derived(form.dims[1:], form.labels[1:], entries)
-
-
 class ArensResult(NamedTuple):
     """Extension tensor for one permutation, with optional chain trace.
 
-    ``trace`` maps each output coordinate to the permuted form followed by
-    the forms after each all-ones contraction; it is only recorded on
-    request and is bounded by (m + 1) forms per dual atom.
+    ``trace`` is only recorded on request. It maps each output coordinate
+    k to the m + 1 marginals of its slice on rho's chain, the forms left
+    after each all-ones contraction: a dict from contracted-slot bitmask
+    (see :func:`chain_masks`, which also gives their contraction order) to
+    the marginal's entries, indexed over its remaining slots in ascending
+    order. ``arens --trace`` prints ``trace[k][mask]`` as
+    ``detail.marginals[str(k + 1)][str(mask)]``, 1-based.
     """
 
     permutation: Permutation
     tensor: MultiTensor
-    trace: dict[int, tuple[IntermediateForm, ...]] | None = None
+    trace: dict[int, dict[int, _Form]] | None = None
 
 
 def arens_extension(
@@ -285,29 +173,17 @@ def arens_extension(
     completely. Each output slice is permuted into rho-order once, then
     contracted against every atom of one slot per level (see
     :func:`_assemble`), so each output coordinate costs one pass per level.
-    The trace is built from the slice's subset marginals (see
-    :func:`_marginal`), each permuted into rho order.
+    The trace is the slice's subset marginals on rho's chain (see
+    :func:`trace_marginals`).
     """
     if rho.m != tensor.m:
         raise ShapeError(f"permutation arity {rho.m} against tensor arity {tensor.m}")
     slices = tensor.slices()
-    result = _extension(tensor, slices, rho)
-    if not with_trace:
-        return ArensResult(rho, result)
-    masks = chain_masks(rho)
-    trace = {
-        k: tuple(
-            _in_rho_order(tensor.domain_dims, rho, l, memo[mask])
-            for l, mask in enumerate(masks)
-        )
-        for k, memo in trace_marginals(slices, [rho]).items()
-    }
-    return ArensResult(rho, result, trace)
+    trace = trace_marginals(slices, [rho]) if with_trace else None
+    return ArensResult(rho, _extension(tensor, slices, rho), trace)
 
 
-def _extension(
-    tensor: MultiTensor, slices: dict[int, dict[tuple[int, ...], Fraction]], rho: Permutation
-) -> MultiTensor:
+def _extension(tensor: MultiTensor, slices: dict[int, _Form], rho: Permutation) -> MultiTensor:
     """The rho-extension tensor from the tensor's ``slices()``, computed once per caller."""
     order = tuple(rho(l) for l in range(rho.m))
     inverse = tuple(rho.apply_inverse(i) for i in range(rho.m))
@@ -335,9 +211,7 @@ def _one(_: int) -> int:
     return 1
 
 
-def _marginal(
-    memo: dict[int, dict[tuple[int, ...], Fraction]], contracted: int, slot: int
-) -> None:
+def _marginal(memo: dict[int, _Form], contracted: int, slot: int) -> None:
     """Add the slice marginal over the slots of ``contracted`` plus ``slot`` to ``memo``.
 
     ``memo`` maps a contracted-slot bitmask S to the slice form contracted
@@ -351,8 +225,8 @@ def _marginal(
 
 
 def trace_marginals(
-    slices: dict[int, dict[tuple[int, ...], Fraction]], rhos: Sequence[Permutation]
-) -> dict[int, dict[int, dict[tuple[int, ...], Fraction]]]:
+    slices: dict[int, _Form], rhos: Sequence[Permutation]
+) -> dict[int, dict[int, _Form]]:
     """Per output coordinate, the marginals on the chains of ``rhos``.
 
     Each coordinate's marginals are keyed by contracted-slot bitmask (see
@@ -376,20 +250,7 @@ def trace_marginals(
     return out
 
 
-def _in_rho_order(
-    dims: tuple[int, ...], rho: Permutation, level: int, marginal: dict[tuple[int, ...], Fraction]
-) -> IntermediateForm:
-    """The chain form at ``level``: a marginal with its slots read rho(level + 1), ..., rho(m)."""
-    remaining = tuple(rho(l) for l in range(level, rho.m))
-    ascending = sorted(remaining)
-    where = [ascending.index(slot) for slot in remaining]
-    entries = {tuple([idx[p] for p in where]): v for idx, v in marginal.items()}
-    return IntermediateForm._derived(tuple(dims[s] for s in remaining), remaining, entries)
-
-
-def _assemble(
-    permuted: dict[tuple[int, ...], Fraction], m: int
-) -> dict[tuple[int, ...], Fraction]:
+def _assemble(permuted: _Form, m: int) -> _Form:
     """Contract a permuted slice form against every atom tuple, level by level.
 
     Contracting the first remaining slot against the atom e_j keeps exactly
@@ -401,7 +262,7 @@ def _assemble(
     """
     level = {(): permuted}
     for _ in range(m):
-        grouped: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        grouped: dict[tuple[int, ...], _Form] = {}
         for chosen, form in level.items():
             for idx, v in form.items():
                 grouped.setdefault(chosen + idx[:1], {})[idx[1:]] = v
@@ -423,14 +284,15 @@ def arens_evaluate(
     for i, (x, d) in enumerate(zip(biduals, tensor.domain_dims)):
         if x.dim != d:
             raise ShapeError(f"slot {i}: bidual dim {x.dim}, expected {d}")
-    labels = tuple(range(tensor.m))
+    if rho.m != tensor.m:
+        raise ShapeError(f"permutation arity {rho.m} against tensor arity {tensor.m}")
+    order = [rho(l) for l in range(rho.m)]
     out = []
     for slice_entries in tensor.slices().values():
-        slice_form = IntermediateForm._derived(tensor.domain_dims, labels, slice_entries)
-        form = permute_form(slice_form, rho)
-        while not form.is_scalar():
-            form = contract(biduals[form.labels[0]], form)
-        out.append(form.scalar())
+        form = {tuple([idx[i] for i in order]): v for idx, v in slice_entries.items()}
+        for slot in order:
+            form = _contract_entries(form, biduals[slot].__getitem__)
+        out.append(form.get((), _ZERO))
     return FinVector(out)
 
 
@@ -488,6 +350,8 @@ def pairing_identities(
     verdict = tensor.is_dp()
     if not verdict.is_dp:
         raise NotDisjointnessPreserving(verdict)
+    from .sampling import random_vector  # only this sampled check needs it
+
     rng = random.Random(seed)
     abs_y = abs(y_dual)
     for rho in all_permutations(tensor.m):

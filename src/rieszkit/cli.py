@@ -342,7 +342,7 @@ def _stored_fields(stored) -> tuple[str, str, dict]:
         raise SpecFileError("report detail.args must be a JSON object")
     required = {"arens": {"perm": str, "trace": bool}, "seq-demo": {"seed": int}}
     for key, kind in required.get(command, {}).items():
-        if not isinstance(stored_args.get(key), kind):
+        if type(stored_args.get(key)) is not kind:  # exact: bool is an int subclass
             raise SpecFileError(f"report detail.args.{key} must be a {kind.__name__}")
     return command, digest, stored_args
 
@@ -386,7 +386,8 @@ def _run_replay(args) -> tuple[int, dict]:
             raise SpecFileError(f"unknown command in report: {command!r}")
         _, rebuilt = builder(spec, digest, stored_args)
 
-    checks = [check("report-reproduced", rebuilt == stored)]
+    # Compared as canonical bytes: parsed JSON has true == 1 == 1.0.
+    checks = [check("report-reproduced", report_json(rebuilt) == report_json(stored))]
     if "witness" in stored and command in ("check-dp", "arens", "factorize"):
         witness_ok = _stored_witness_verifies(stored["witness"], spec)
         checks.append(check("witness-verifies", witness_ok))

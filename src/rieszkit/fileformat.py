@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import operator
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -309,11 +310,22 @@ def spec_to_obj(spec) -> dict:
     raise TypeError(f"not a spec object: {type(spec).__name__}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """object_pairs_hook: a key given twice in one object is an error, not the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        key = next(key for key, n in counts.items() if n > 1)
+        raise SpecFileError(f"duplicate object key {key!r}")
+    return obj
+
+
 def decode_json(text: str, what: str = "JSON"):
-    """json.loads; bad syntax, nesting past the recursion limit and integer
-    literals past the int-to-str digit limit are all SpecFileError."""
+    """json.loads; bad syntax, a key given twice in one object, nesting past
+    the recursion limit and integer literals past the int-to-str digit limit
+    are all SpecFileError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise SpecFileError(f"invalid {what}: {exc}") from exc
 

@@ -489,11 +489,12 @@ def _contract_entries(
     This is the pairing of a bidual element with the form read as a
     dual-vector-valued map in the index at ``position`` (the first by
     default), written sparsely: out[rest] = sum_j coefficient(j) *
-    entries[idx], where idx has j at ``position`` and rest elsewhere. The
-    Arens chain (:func:`rieszkit.arens.contract`) runs it over slot
-    indices, the Arens trace marginals (:func:`rieszkit.arens._marginal`)
-    over any slot, and the sequence model
-    (:func:`rieszkit.seqmodel.diag_arens_pair`) over sequence positions.
+    entries[idx], where idx has j at ``position`` and rest elsewhere. It is
+    the only contraction in the package: the Arens chain
+    (:func:`rieszkit.arens.arens_evaluate`) runs it over the first slot,
+    the Arens trace marginals (:func:`rieszkit.arens._marginal`) over any
+    slot, and the sequence model (:func:`rieszkit.seqmodel.diag_arens_pair`)
+    over sequence positions.
     """
     out: dict[tuple, Fraction] = {}
     after = position + 1

@@ -10,11 +10,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-# "p" or "p/q" with integer p and positive integer q, in ASCII digits only,
-# so each number has one spelling. Decimal points, exponents, whitespace,
-# underscores, other Unicode digits, signs inside the denominator and a zero
-# denominator are all rejected, even though Fraction() accepts some of them.
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
+# "p" or "p/q" with integer p and positive integer q, in ASCII digits only
+# and without leading zeros, so "007" is not another spelling of 7. Decimal
+# points, exponents, whitespace, underscores, other Unicode digits, signs
+# inside the denominator and a zero denominator are all rejected, even
+# though Fraction() accepts some of them.
+_RATIONAL_RE = re.compile(r"[+-]?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?")
 
 
 class DigitLimitError(ValueError):

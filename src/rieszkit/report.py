@@ -6,8 +6,8 @@ human text. Identical input and seed produce identical bytes: nothing
 time- or path-dependent goes in (wall time is printed to stderr by the
 CLI, never into the report). Witnesses are serialized 1-based to match
 the file formats and can be re-verified later by the replay command,
-which compares parsed reports, so the indented form older versions wrote
-replays just the same.
+which re-encodes the parsed stored report in this compact form before
+comparing, so the indented form older versions wrote replays just the same.
 """
 
 from __future__ import annotations
@@ -127,7 +127,9 @@ def _spliced(report: dict) -> str | None:
     """
     detail = report.get("detail", {})
     extensions = detail.get("extensions")
-    if not extensions:
+    if not isinstance(extensions, list) or len(extensions) < 2 or not all(
+        isinstance(e, dict) and "tensor" in e for e in extensions
+    ):  # a decoded report may hold anything here
         return None
     shared = extensions[0]["tensor"]
     marked = [{**e, "tensor": _STAND_IN} if e["tensor"] is shared else e for e in extensions]

@@ -7,9 +7,11 @@ image disjointness by evaluation; rank_oracle counts rays of the
 atom-image matrix; closure_basis_oracle closes the span of the atom
 images under suprema until it stops growing; modulus_oracle recomputes
 the least majorant pointwise; arens_reference runs the extension chain
-one validated form per node; parse_tensor_reference parses a tensor spec
-with a check per entry, then MultiTensor.from_rows and the validating
-constructor. The sequence-model oracles (biadjoint_dp_check,
+one validated form per node, pairing each slot against its bidual tail
+index by tail index, with no library contraction; read_chain reads a
+chain of trace marginals the way the README decodes a traced report;
+parse_tensor_reference parses a tensor spec with a check per entry, then
+MultiTensor.from_rows and the validating constructor. The sequence-model oracles (biadjoint_dp_check,
 dual_basis_dp, rank_lower_bound, slotwise_dp_check) decide by sampling
 disjoint pairs and testing their images, where the library decides the
 same questions exactly from the operator's finite pattern.
@@ -22,15 +24,7 @@ import math
 import random
 from fractions import Fraction
 
-from rieszkit import (
-    FinVector,
-    IntermediateForm,
-    MultiTensor,
-    Permutation,
-    all_permutations,
-    contract,
-    permute_form,
-)
+from rieszkit import FinVector, MultiTensor, Permutation, all_permutations
 from rieszkit.fileformat import (
     SpecFileError,
     _check_keys,
@@ -248,50 +242,111 @@ def count_sign_tensors(domain_dims, codomain_dim, max_support=None) -> int:
     return sum(math.comb(cells, s) * 2 ** s for s in range(max_support + 1))
 
 
-def _validated(form: IntermediateForm) -> IntermediateForm:
-    return IntermediateForm(form.dims, form.labels, form.entries)
+Form = dict[tuple[int, ...], Fraction]
+
+
+def _checked(dims: tuple[int, ...], entries: Form) -> Form:
+    """A copy of a form's entries after checking them against its slot dims.
+
+    Every index tuple must have one in-range index per slot, and every
+    value must be a nonzero Fraction.
+    """
+    for idx, value in entries.items():
+        assert isinstance(idx, tuple) and len(idx) == len(dims), (idx, dims)
+        assert all(0 <= i < d for i, d in zip(idx, dims)), (idx, dims)
+        assert isinstance(value, Fraction) and value != 0, (idx, value)
+    return dict(entries)
+
+
+def _slice(tensor: MultiTensor, k: int) -> Form:
+    """Output coordinate k of a tensor as a form over its domain slots, checked."""
+    return _checked(tensor.domain_dims, {idx: v for (out, idx), v in tensor.items() if out == k})
+
+
+def _reordered(entries: Form, order) -> Form:
+    """A form read with its slots in ``order``: slot l is the old slot order[l]."""
+    return {tuple(idx[i] for i in order): v for idx, v in entries.items()}
+
+
+def _pair_first_slot(dims: tuple[int, ...], entries: Form, bidual) -> Form:
+    """Pair the first slot of a form with a bidual, one tail index at a time.
+
+    The result at a tail index rest is sum_j bidual[j] * entries[(j,) + rest]:
+    the bidual applied to the dual vector that the form reads there.
+    """
+    out = {}
+    for rest in itertools.product(*(range(d) for d in dims[1:])):
+        value = sum(
+            (bidual[j] * entries.get((j,) + rest, 0) for j in range(dims[0])), Fraction(0)
+        )
+        if value != 0:
+            out[rest] = value
+    return _checked(dims[1:], out)
 
 
 def arens_reference(tensor: MultiTensor, rho: Permutation):
-    """The rho-extension and its all-ones trace, by the per-node chain.
+    """The rho-extension and its all-ones chain, by the per-node chain.
 
-    For each output coordinate, the slice form is permuted with the public
-    permute_form; then every node of the contraction tree contracts its
-    form against each atom of the first remaining slot, one contract call
-    and one validated form per child, until scalars remain. Zero children
-    are pruned: every further contraction of a zero form is zero. Returns
-    (tensor, trace) with the trace in the shape arens_extension records.
+    For each output coordinate, the slice form is permuted into rho order;
+    then every node of the contraction tree pairs its first remaining slot
+    with each atom, one validated form per child, until scalars remain.
+    Zero children are pruned: every further contraction of a zero form is
+    zero. Returns (tensor, trace): trace[k] is the chain on all-ones
+    biduals, one (dims, labels, entries) per level with the remaining
+    slots in rho order, as :func:`read_chain` reads it.
     """
     m = tensor.m
+    order = tuple(rho(l) for l in range(m))
+    dims = tuple(tensor.domain_dims[i] for i in order)
     entries = {}
     trace = {}
     for k in range(tensor.codomain_dim):
-        slice_form = IntermediateForm(
-            tensor.domain_dims,
-            range(m),
-            {idx: v for (out, idx), v in tensor.items() if out == k},
-        )
-        permuted = _validated(permute_form(slice_form, rho))
+        permuted = _checked(dims, _reordered(_slice(tensor, k), order))
         chain = [permuted]
-        while not chain[-1].is_scalar():
-            form = chain[-1]
-            chain.append(_validated(contract(FinVector.ones(form.dims[0]), form)))
-        trace[k] = tuple(chain)
+        for level in range(m):
+            chain.append(_pair_first_slot(dims[level:], chain[-1], [1] * dims[level]))
+        trace[k] = [(dims[l:], order[l:], chain[l]) for l in range(m + 1)]
         stack = [(permuted, ())]
         while stack:
             form, chosen = stack.pop()
-            if form.is_scalar():
+            level = len(chosen)
+            if level == m:
                 idx = [0] * m
-                for level, atom in enumerate(chosen):
-                    idx[rho(level)] = atom
-                entries[(k, tuple(idx))] = form.scalar()
+                for l, atom in enumerate(chosen):
+                    idx[order[l]] = atom
+                entries[(k, tuple(idx))] = form[()]
                 continue
-            d = form.dims[0]
+            d = dims[level]
             for j in range(d):
-                child = _validated(contract(FinVector.atom(d, j), form))
-                if child.entries:
+                atom = [int(i == j) for i in range(d)]
+                child = _pair_first_slot(dims[level:], form, atom)
+                if child:
                     stack.append((child, chosen + (j,)))
     return MultiTensor(tensor.domain_dims, tensor.codomain_dim, entries), trace
+
+
+def read_chain(domain_dims: tuple[int, ...], rho: Permutation, marginals: dict[int, Form]):
+    """Rho's chain read from one coordinate's trace marginals, in rho order.
+
+    ``marginals`` maps a contracted-slot bitmask to a form over the
+    remaining slots in ascending order, as ``ArensResult.trace[k]`` and a
+    decoded ``detail.marginals`` coordinate hold them. Level l takes the
+    marginal with slots rho(0), ..., rho(l - 1) contracted and reorders its
+    indices to the slot order rho(l), ..., rho(m - 1). Returns one
+    (dims, labels, entries) per level.
+    """
+    m = rho.m
+    chain = []
+    mask = 0
+    for level in range(m + 1):
+        labels = tuple(rho(l) for l in range(level, m))
+        ascending = sorted(labels)
+        where = [ascending.index(slot) for slot in labels]
+        entries = _reordered(marginals[mask], where)
+        chain.append((tuple(domain_dims[s] for s in labels), labels, entries))
+        if level < m:
+            mask |= 1 << rho(level)
+    return chain
 
 
 def slot_asymmetric_tensor(
@@ -311,15 +366,15 @@ def slot_asymmetric_tensor(
         tensor = random_tensor(rng, dims, codomain_dim, density=0.6)
         if tensor.nnz() == 0:
             continue
-        slice_forms = [
-            IntermediateForm(dims, range(m), entries)
-            for entries in tensor.slices().values()
-        ]
-        signatures = [
-            tuple(permute_form(form, rho).content() for form in slice_forms)
-            for rho in all_permutations(m)
-        ]
-        if len(set(signatures)) == len(signatures):
+        slices = [_slice(tensor, k) for k in range(codomain_dim)]
+        signatures = set()
+        for rho in all_permutations(m):
+            order = tuple(rho(l) for l in range(m))
+            signatures.add(tuple(
+                (tuple(dims[i] for i in order), tuple(sorted(_reordered(entries, order).items())))
+                for entries in slices
+            ))
+        if len(signatures) == math.factorial(m):
             return tensor
 
 

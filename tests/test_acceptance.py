@@ -25,6 +25,7 @@ from helpers import (
     dual_basis_dp,
     modulus_oracle,
     rank_lower_bound,
+    read_chain,
     sample_disjoint_pair,
     sign_tensors,
     slot_asymmetric_tensor,
@@ -187,9 +188,9 @@ def test_acceptance_3_restriction_law(capsys):
                 for rho in all_permutations(m):
                     result = arens_extension(t, rho, with_trace=True)
                     key = tuple(
-                        form.content()
+                        (dims, tuple(sorted(entries.items())))
                         for k in sorted(result.trace)
-                        for form in result.trace[k]
+                        for dims, _, entries in read_chain(t.domain_dims, rho, result.trace[k])
                     )
                     assert key not in traces
                     traces.add(key)

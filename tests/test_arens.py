@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from rieszkit import (
     FinVector,
-    IntermediateForm,
     MultiTensor,
     NotDisjointnessPreserving,
     Permutation,
@@ -19,13 +18,12 @@ from rieszkit import (
     arens_evaluate,
     arens_extension,
     check_dp_preservation,
-    contract,
     pairing_identities,
-    permute_form,
     span_disjointness,
 )
-from helpers import arens_reference, slot_asymmetric_tensor
+from helpers import arens_reference, read_chain, slot_asymmetric_tensor
 from rieszkit import cli
+from rieszkit.operators import _contract_entries
 from rieszkit.report import report_json
 from rieszkit.sampling import (
     disjoint_vector_pair,
@@ -65,70 +63,66 @@ def test_from_cycles():
         Permutation([0, 0, 1])
 
 
-# -- forms and contractions ------------------------------------------------------------
+# -- the contraction core ---------------------------------------------------------------
 
 
-def worked_form():
-    # C(x, y) = x_1 y_2 on Q^2 x Q^3
-    return IntermediateForm((2, 3), (0, 1), {(0, 1): F(1)})
+small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 
 
-def test_permute_worked_example():
-    swapped = permute_form(worked_form(), Permutation([1, 0]))
-    assert swapped.dims == (3, 2)
-    assert swapped.labels == (1, 0)
-    assert swapped.entries == {(1, 0): F(1)}
+@st.composite
+def forms_and_pairings(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    keys = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    entries = draw(st.dictionaries(keys, small_fractions.filter(bool), max_size=12))
+    position = draw(st.integers(0, len(dims) - 1))
+    bidual = draw(st.lists(small_fractions, min_size=dims[position], max_size=dims[position]))
+    return dims, entries, position, bidual
 
 
-def test_form_equality_ignores_labels():
-    a = IntermediateForm((2, 2), (0, 1), {(0, 1): F(2)})
-    b = IntermediateForm((2, 2), (1, 0), {(0, 1): F(2)})
-    assert a == b
-    assert a.content() == b.content()
-    assert a != IntermediateForm((2, 2), (0, 1), {(1, 0): F(2)})
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(forms_and_pairings())
+def test_contract_matches_dual_pairing(case):
+    # contracting the slot at position against x pairs x with the dual
+    # vector j |-> B(..., e_j, ...) that the form reads at each tail index
+    dims, entries, position, bidual = case
+    contracted = _contract_entries(entries, bidual.__getitem__, position)
+    tails = list(itertools.product(*(range(d) for i, d in enumerate(dims) if i != position)))
+    assert set(contracted) <= set(tails)
+    assert all(v != 0 for v in contracted.values())
+    for rest in tails:
+        dual = FinVector([
+            entries.get(rest[:position] + (j,) + rest[position:], F(0)) for j in range(dims[position])
+        ])
+        assert contracted.get(rest, F(0)) == FinVector(bidual).dot(dual)
 
 
-def slice_form(t, k):
-    return IntermediateForm(t.domain_dims, range(t.m), t.slices()[k])
-
-
-def test_contract_matches_dual_pairing():
-    # contracting slot 1 against x pairs x with the dual vector
-    # x_1 |-> B(x_1, rest) that the form reads at each tail index
-    rng = random.Random(0)
-    for _ in range(30):
-        dims = (rng.choice([2, 3]), rng.choice([2, 3]), rng.choice([2, 3]))
-        entries = {
-            idx: random_vector(rng, 1)[0]
-            for idx in {(rng.randrange(dims[0]), rng.randrange(dims[1]), rng.randrange(dims[2])) for _ in range(5)}
-        }
-        form = IntermediateForm(dims, (0, 1, 2), entries)
-        x = random_vector(rng, dims[0])
-        contracted = contract(x, form)
-        for rest in itertools.product(range(dims[1]), range(dims[2])):
-            dual = FinVector([form.entries.get((j,) + rest, F(0)) for j in range(dims[0])])
-            assert contracted.entries.get(rest, F(0)) == x.dot(dual)
-
-
-def test_contract_chain_matches_full_evaluation():
-    # chaining all slots equals evaluating the multilinear form
-    rng = random.Random(1)
-    for _ in range(30):
-        t = random_tensor(rng, (2, 3), 1, density=0.8)
-        form = slice_form(t, 0)
-        x, y = random_vector(rng, 2), random_vector(rng, 3)
-        value = contract(y, contract(x, form)).scalar()
-        assert value == t.apply([x, y])[0]
-
-
-def test_contract_shape_errors():
-    form = worked_form()
+def test_evaluate_shape_errors():
+    t = MultiTensor((2, 3), 1, {(0, (0, 1)): F(1)})
+    rho = Permutation([1, 0])
     with pytest.raises(ShapeError):
-        contract(FinVector([1, 2, 3]), form)  # wrong first dim
-    scalar = contract(FinVector([1, 1, 1]), contract(FinVector([1, 0]), form))
+        arens_evaluate(t, rho, [FinVector([1, 2])])  # one bidual for two slots
     with pytest.raises(ShapeError):
-        contract(FinVector([1]), scalar)
-    assert scalar.scalar() == 1
+        arens_evaluate(t, rho, [FinVector([1, 2]), FinVector([1, 2])])  # wrong dim in slot 2
+    with pytest.raises(ShapeError):
+        arens_evaluate(t, Permutation([0]), [FinVector([1, 0]), FinVector([1, 1, 1])])
+    assert arens_evaluate(t, rho, [FinVector([1, 0]), FinVector([1, 1, 1])]) == FinVector([1])
+
+
+def test_reference_uses_no_library_contraction(monkeypatch):
+    # the oracle must reach its answer without the library's contraction core
+    import rieszkit.arens
+    import rieszkit.operators
+
+    def refuse(*args):
+        raise AssertionError("the reference called the library contraction")
+
+    monkeypatch.setattr(rieszkit.operators, "_contract_entries", refuse)
+    monkeypatch.setattr(rieszkit.arens, "_contract_entries", refuse)
+    t = MultiTensor((2, 3, 2), 2, {(0, (0, 1, 1)): F(2), (0, (1, 2, 0)): F(-1, 3), (1, (1, 0, 0)): F(5)})
+    for rho in all_permutations(3):
+        expected, trace = arens_reference(t, rho)
+        assert expected == t
+        assert trace[0][-1] == ((), (), {(): F(5, 3)})
 
 
 # -- the extension pipeline ----------------------------------------------------------
@@ -152,8 +146,7 @@ def small_tensors(draw):
     keys = st.tuples(
         st.integers(0, cod - 1), st.tuples(*(st.integers(0, d - 1) for d in dims))
     )
-    values = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
-    return MultiTensor(dims, cod, draw(st.dictionaries(keys, values, max_size=12)))
+    return MultiTensor(dims, cod, draw(st.dictionaries(keys, small_fractions, max_size=12)))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -164,9 +157,8 @@ def test_extension_matches_per_node_reference(t):
         expected, expected_trace = arens_reference(t, rho)
         assert result.tensor == expected
         assert result.trace.keys() == expected_trace.keys()
-        for k, chain in result.trace.items():
-            assert chain == expected_trace[k]
-            assert [f.labels for f in chain] == [f.labels for f in expected_trace[k]]
+        for k, marginals in result.trace.items():
+            assert read_chain(t.domain_dims, rho, marginals) == expected_trace[k]
 
 
 def _plain_json(report):
@@ -204,12 +196,13 @@ def test_derived_objects_equal_validated_rebuilds():
             result = arens_extension(t, rho, with_trace=True)
             ext = result.tensor
             assert ext == MultiTensor(ext.domain_dims, ext.codomain_dim, dict(ext.items()))
-            permuted = permute_form(slice_form(t, 0), rho)
-            forms = [f for chain in result.trace.values() for f in chain]
-            forms += [permuted, contract(random_vector(rng, permuted.dims[0]), permuted)]
-            for f in forms:
-                rebuilt = IntermediateForm(f.dims, f.labels, f.entries)
-                assert f == rebuilt and f.labels == rebuilt.labels
+            for marginals in result.trace.values():
+                for mask, entries in marginals.items():
+                    remaining = [dims[s] for s in range(m) if not mask >> s & 1]
+                    for idx, value in entries.items():
+                        assert len(idx) == m - bin(mask).count("1")
+                        assert all(0 <= i < d for i, d in zip(idx, remaining))
+                        assert isinstance(value, F) and value != 0
 
 
 def test_restriction_law_asymmetric_dims():
@@ -240,12 +233,13 @@ def test_trace_shape_and_distinctness():
         traces = {}
         for rho in all_permutations(m):
             result = arens_extension(t, rho, with_trace=True)
-            for k, chain in result.trace.items():
-                assert len(chain) == m + 1
-                assert chain[0].dims == tuple(t.domain_dims[rho(l)] for l in range(m))
-                assert chain[-1].is_scalar()
+            chains = [read_chain(t.domain_dims, rho, result.trace[k]) for k in sorted(result.trace)]
+            for marginals, chain in zip(result.trace.values(), chains):
+                assert len(marginals) == len(chain) == m + 1
+                assert chain[0][0] == tuple(t.domain_dims[rho(l)] for l in range(m))
+                assert chain[-1][0] == ()
             traces[rho] = tuple(
-                form.content() for chain in result.trace.values() for form in chain
+                (dims, tuple(sorted(entries.items()))) for chain in chains for dims, _, entries in chain
             )
         values = list(traces.values())
         assert len(set(values)) == len(values), "permutations left identical traces"
@@ -253,9 +247,12 @@ def test_trace_shape_and_distinctness():
 
 def test_trace_scalar_is_all_ones_value():
     t = MultiTensor((2, 2), 1, {(0, (0, 1)): F(3)})
-    result = arens_extension(t, Permutation.identity(2), with_trace=True)
+    rho = Permutation.identity(2)
+    result = arens_extension(t, rho, with_trace=True)
     ones = [FinVector.ones(2), FinVector.ones(2)]
-    assert result.trace[0][-1].scalar() == t.apply(ones)[0]
+    *_, (dims, labels, entries) = read_chain(t.domain_dims, rho, result.trace[0])
+    assert dims == labels == ()
+    assert entries[()] == t.apply(ones)[0]
 
 
 def test_dp_preservation_all_permutations():

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import arens_reference, read_chain
 from rieszkit import MultiTensor, Permutation, arens_extension, cli, parse_rational
 from rieszkit.fileformat import loads_spec
 from rieszkit.report import input_digest, witness_from_obj
@@ -126,6 +127,20 @@ def test_seq_demo_does_not_import_arens(tmp_path):
     assert loaded_after(argvs, ["rieszkit.arens"]) == {"codes": [0, 0, 0], "loaded": []}
 
 
+def test_arens_does_not_import_sampling_or_seqmodel(tmp_path):
+    # only pairing_identities samples, and the CLI never runs it
+    report = tmp_path / "report.json"
+    report.write_bytes(run("arens", fixture("t_m3.json"), "--trace", "--json").stdout)
+    argvs = [
+        ["arens", str(fixture("t_m3.json"))],
+        ["arens", str(fixture("t_diag.json")), "--perm", "theta", "--trace"],
+        ["replay", str(report), str(fixture("t_m3.json"))],
+    ]
+    heavy = ["rieszkit.sampling", "rieszkit.seqmodel"]
+    code = 0 if loads_spec(fixture("t_m3.json").read_text()).is_dp().is_dp else 1
+    assert loaded_after(argvs, heavy) == {"codes": [code, 1, 0], "loaded": []}
+
+
 def test_reports_byte_identical():
     first = run("arens", fixture("t_vector_dp.json"), "--perm", "all", "--trace", "--json")
     second = run("arens", fixture("t_vector_dp.json"), "--perm", "all", "--trace", "--json")
@@ -148,7 +163,8 @@ def test_trace_wire_format(name):
     # detail.marginals holds each output coordinate's marginals once, keyed
     # by contracted-slot bitmask, slots ascending, entries [i_1, ..., i_k,
     # "p/q"] 1-based; each extension's trace lists its chain's bitmasks.
-    # Decoded, every chain is arens_extension's trace, labels included.
+    # Decoded, every coordinate's marginals on a chain are arens_extension's
+    # trace, and read in rho order they are the reference chain.
     tensor = loads_spec(fixture(name).read_text())
     m = tensor.m
     for perm in ("all", "theta", "(1 3 2)"):
@@ -157,30 +173,28 @@ def test_trace_wire_format(name):
         report = json.loads(result.stdout, object_pairs_hook=_unique_keys)
         marginals = report["detail"]["marginals"]
         assert sorted(marginals) == [str(k + 1) for k in range(tensor.codomain_dim)]
+        decoded = {}
+        for k, forms in marginals.items():
+            decoded[int(k) - 1] = memo = {}
+            for mask, form in forms.items():
+                slots = [s for s in range(m) if not int(mask) >> s & 1]
+                assert form["slots"] == [s + 1 for s in slots]
+                assert form["dims"] == [tensor.domain_dims[s] for s in slots]
+                memo[int(mask)] = {
+                    tuple(i - 1 for i in e[:-1]): parse_rational(e[-1]) for e in form["entries"]
+                }
         used = set()
         for extension in report["detail"]["extensions"]:
             rho = Permutation([i - 1 for i in extension["perm"]])
             masks = extension["trace"]
-            assert len(masks) == m + 1
+            assert masks == [sum(1 << rho(i) for i in range(l)) for l in range(m + 1)]
             used.update(masks)
-            decoded = {}
-            for k, forms in marginals.items():
-                chain = []
-                for level, mask in enumerate(masks):
-                    form = forms[str(mask)]
-                    slots = [l - 1 for l in form["slots"]]
-                    assert slots == [s for s in range(m) if not mask >> s & 1]
-                    labels = tuple(rho(l) for l in range(level, m))
-                    where = [slots.index(s) for s in labels]
-                    entries = {
-                        tuple(e[p] - 1 for p in where): parse_rational(e[-1]) for e in form["entries"]
-                    }
-                    chain.append((tuple(form["dims"][p] for p in where), labels, entries))
-                decoded[int(k) - 1] = chain
             expected = arens_extension(tensor, rho, with_trace=True).trace
-            assert decoded == {
-                k: [(f.dims, f.labels, f.entries) for f in chain] for k, chain in expected.items()
-            }
+            reference = arens_reference(tensor, rho)[1]
+            assert expected.keys() == decoded.keys() == reference.keys()
+            for k, memo in decoded.items():
+                assert {mask: memo[mask] for mask in masks} == expected[k]
+                assert read_chain(tensor.domain_dims, rho, memo) == reference[k]
         # every printed marginal lies on a chain, and a coordinate prints each once
         for forms in marginals.values():
             assert sorted(map(int, forms)) == sorted(used)
@@ -546,6 +560,52 @@ def test_replay_confirms_and_detects_tampering(tmp_path):
     assert run("replay", report_path, fixture("t_single.json")).returncode == 2
 
 
+def test_replay_tells_true_and_floats_from_integers(tmp_path):
+    # parsed JSON has true == 1 == 1.0, so replay compares canonical bytes
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(run("check-dp", fixture("t_diag.json"), "--json").stdout)
+    obj = json.loads(report_path.read_text())
+    assert obj["witness"]["out_coord"] == 1 and obj["witness"]["slot"] == 1
+    for path, value in [
+        (("witness", "out_coord"), True),
+        (("witness", "slot"), 1.0),
+        (("cost", "entries"), float(obj["cost"]["entries"])),
+    ]:
+        changed = json.loads(report_path.read_text())
+        changed[path[0]][path[1]] = value
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(changed))
+        result = run("replay", tampered, fixture("t_diag.json"))
+        assert result.returncode == 1, path
+        assert b"[FAIL] report-reproduced" in result.stdout
+
+
+def test_replay_of_mangled_extensions_is_a_failed_check(tmp_path):
+    # the stored report is re-encoded for the comparison, whatever it holds
+    report = json.loads(run("arens", fixture("t_m3.json"), "--json").stdout)
+    path = tmp_path / "report.json"
+    for mangled in ("abc", [1, 2], [], [{"perm": [1, 2, 3]}, {"perm": [3, 2, 1]}]):
+        report["detail"]["extensions"] = mangled
+        path.write_text(json.dumps(report))
+        result = run("replay", path, fixture("t_m3.json"))
+        assert result.returncode == 1, mangled
+        assert b"Traceback" not in result.stderr
+
+
+def test_replay_refuses_a_bool_seed(tmp_path):
+    seq = json.loads(run("seq-demo", "--seed", "1", "--json").stdout)
+    path = tmp_path / "seq.json"
+    seq["seed"] = seq["detail"]["args"]["seed"] = True
+    path.write_text(json.dumps(seq))
+    refused = run("replay", path)
+    assert refused.returncode == 2
+    assert b"detail.args.seed" in refused.stderr
+    # a seed of true in the report alone is a report that was not reproduced
+    seq["detail"]["args"]["seed"] = 1
+    path.write_text(json.dumps(seq))
+    assert run("replay", path).returncode == 1
+
+
 def _drop_digest(report):
     del report["input_digest"]
 
@@ -598,8 +658,8 @@ def test_replay_covers_other_commands(tmp_path):
 
 
 def test_replay_accepts_indented_reports(tmp_path):
-    # replay compares parsed reports, so reports stored in the indented
-    # form older versions wrote keep replaying
+    # replay re-encodes the parsed stored report before comparing, so
+    # reports stored in the indented form older versions wrote keep replaying
     for cmd, fix in [("arens", "t_diag.json"), ("arens", "t_m3.json"), ("check-dp", "t_diag.json")]:
         fresh = json.loads(run(cmd, fixture(fix), "--json").stdout)
         old_style = tmp_path / f"{cmd}-{fix}"

@@ -121,6 +121,41 @@ def test_seq_rejects_bad_indices(key):
         loads_spec(json.dumps({"kind": "weighted-comp", "weight": {"tail": "1"}, "table": {key: 1}}))
 
 
+DUPLICATE_KEYS = {
+    "sequence exception": ('{"exceptions": {"1": "2", "1": "3"}, "tail": "0"}', "'1'"),
+    "entry value": (
+        '{"m": 1, "domain_dims": [2], "codomain_dim": 1,'
+        ' "entries": [{"out": 1, "idx": [1], "value": "1", "value": "7"}]}',
+        "'value'",
+    ),
+    "top level": (
+        '{"m": 1, "m": 1, "domain_dims": [2], "codomain_dim": 1, "entries": []}',
+        "'m'",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, key", DUPLICATE_KEYS.values(), ids=DUPLICATE_KEYS)
+def test_duplicate_object_keys_are_input_errors(tmp_path, capsys, text, key):
+    # json.loads alone keeps the last of two equal keys; a file that names
+    # a key twice is an input error that names the key
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = ["seq-demo", "--weight-file", str(path)] if "tail" in text else ["check-dp", str(path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: invalid JSON: duplicate object key {key}\n"
+
+
+def test_duplicate_key_in_a_stored_report_is_an_input_error(tmp_path, capsys):
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "t_diag.json"
+    assert cli.main(["check-dp", str(fixture), "--json"]) == 1
+    text = capsys.readouterr().out
+    path = tmp_path / "report.json"
+    path.write_text(text.replace('"ok":false', '"ok":true,"ok":false'))
+    assert cli.main(["replay", str(path), str(fixture)]) == 2
+    assert capsys.readouterr().err == "error: invalid report JSON: duplicate object key 'ok'\n"
+
+
 def test_seq_rejects_unknown_keys():
     with pytest.raises(SpecFileError):
         parse_seq({"tail": "0", "stray": 1})

@@ -17,7 +17,9 @@ def test_parse_plain_and_fraction():
     "bad",
     ["", "1.5", "1/0", "1/-2", "a", "1 / 2", "--3", "1/+2", "0x2", "2/02"]
     # one spelling per number: other Unicode digits and padding are not 3
-    + ["٣", "３", "1/٣", "٣/2", "-３", "৩/৪", "3\n", " 3", "1_000"],
+    + ["٣", "３", "1/٣", "٣/2", "-３", "৩/৪", "3\n", " 3", "1_000"]
+    # nor is a zero-padded numerator another spelling of a number
+    + ["007", "+007", "-00/1", "00", "-01/2"],
 )
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
