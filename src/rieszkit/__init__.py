@@ -15,15 +15,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arens": (
         "ArensResult",
-        "DpPreservationReport",
         "Permutation",
         "all_permutations",
         "arens_evaluate",
         "arens_extension",
-        "check_dp_preservation",
-        "is_dp_functional",
-        "pairing_identities",
-        "span_disjointness",
     ),
     "operators": (
         "MAX_ARITY",

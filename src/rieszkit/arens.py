@@ -35,18 +35,11 @@ adjoint T'' of a linear map.
 from __future__ import annotations
 
 import itertools
-import random
 import re
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .operators import (
-    DPVerdict,
-    MultiTensor,
-    NotDisjointnessPreserving,
-    ShapeError,
-    _contract_entries,
-)
+from .operators import MultiTensor, ShapeError, _contract_entries
 from .vectors import FinVector
 
 _ZERO = Fraction(0)
@@ -133,9 +126,6 @@ class Permutation:
 
     def __hash__(self) -> int:
         return hash(self._images)
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self._images < other._images
 
     def __repr__(self) -> str:
         return f"Permutation{self.one_line()}"
@@ -294,120 +284,3 @@ def arens_evaluate(
             form = _contract_entries(form, biduals[slot].__getitem__)
         out.append(form.get((), _ZERO))
     return FinVector(out)
-
-
-class DpPreservationReport(NamedTuple):
-    """Per-permutation DP verdicts for every extension of a DP operator."""
-
-    input_certificate: DPVerdict
-    per_permutation: tuple[tuple[Permutation, DPVerdict], ...]
-
-    @property
-    def all_dp(self) -> bool:
-        return all(v.is_dp for _, v in self.per_permutation)
-
-
-def check_dp_preservation(tensor: MultiTensor) -> DpPreservationReport:
-    """Extend a DP operator along every permutation and re-decide DP.
-
-    Raises :class:`NotDisjointnessPreserving` when the input itself is not
-    DP; the witness travels with the exception.
-    """
-    verdict = tensor.is_dp()
-    if not verdict.is_dp:
-        raise NotDisjointnessPreserving(verdict)
-    results = []
-    for rho in all_permutations(tensor.m):
-        extension = arens_extension(tensor, rho)
-        results.append((rho, extension.tensor.is_dp()))
-    return DpPreservationReport(verdict, tuple(results))
-
-
-def is_dp_functional(y_dual: FinVector) -> bool:
-    """A functional preserves disjointness iff at most one coordinate is nonzero."""
-    return len(y_dual.support()) <= 1
-
-
-def pairing_identities(
-    tensor: MultiTensor,
-    y_dual: FinVector,
-    *,
-    samples: int = 20,
-    seed: int = 0,
-) -> bool:
-    """Check the modulus pairing laws of the extensions of a DP operator.
-
-    For every permutation and sampled bidual tuple u = (u_1, ..., u_m),
-    with E = extension value, the three quantities |E(u)| applied to |y'|,
-    |E(|u_1|, ..., |u_m|) applied to y'| and |E(u) applied to y'| must
-    agree, and y' o E must itself be a DP scalar form. ``y_dual`` must be a
-    DP functional (at most one nonzero coordinate).
-    """
-    if y_dual.dim != tensor.codomain_dim:
-        raise ShapeError(f"functional dim {y_dual.dim} against codomain {tensor.codomain_dim}")
-    if not is_dp_functional(y_dual):
-        raise ValueError("y_dual is not disjointness preserving (support > 1)")
-    verdict = tensor.is_dp()
-    if not verdict.is_dp:
-        raise NotDisjointnessPreserving(verdict)
-    from .sampling import random_vector  # only this sampled check needs it
-
-    rng = random.Random(seed)
-    abs_y = abs(y_dual)
-    for rho in all_permutations(tensor.m):
-        extension = arens_extension(tensor, rho).tensor
-        contracted = _contract_entries(dict(extension.items()), y_dual.__getitem__)
-        composed = MultiTensor(
-            tensor.domain_dims, 1, {(0, idx): v for (idx,), v in contracted.items()}
-        )
-        if not composed.is_dp().is_dp:
-            return False
-        for _ in range(samples):
-            biduals = [random_vector(rng, d) for d in tensor.domain_dims]
-            value = arens_evaluate(tensor, rho, biduals)
-            value_abs_args = arens_evaluate(tensor, rho, [abs(b) for b in biduals])
-            lhs = abs(value).dot(abs_y)
-            mid = abs(value_abs_args.dot(y_dual))
-            rhs = abs(value.dot(y_dual))
-            if not (lhs == mid == rhs):
-                return False
-    return True
-
-
-def span_disjointness(
-    tensor: MultiTensor,
-    slot: int,
-    w: FinVector,
-    z: FinVector,
-    fixed: Mapping[int, FinVector],
-    y_star: FinVector,
-) -> bool:
-    """Disjointness of extension images, observed through one functional.
-
-    For disjoint w, z placed in ``slot`` (other slots pinned by ``fixed``)
-    and any functional y*, the extension images u, v of a DP operator must
-    satisfy (|u| inf |v|) applied to |y*| = 0. Note the modulus is taken
-    before pairing: the scalars u(y*) and v(y*) themselves need not be
-    disjoint in Q (already u = e_1, v = e_2 against y* = (1, 1) gives two
-    nonzero scalars), which is why the check is stated this way.
-    """
-    if not w.is_disjoint(z):
-        raise ValueError("w and z are not disjoint")
-    if y_star.dim != tensor.codomain_dim:
-        raise ShapeError("functional dimension does not match the codomain")
-    args_w = []
-    args_z = []
-    for i in range(tensor.m):
-        if i == slot:
-            args_w.append(w)
-            args_z.append(z)
-        else:
-            args_w.append(fixed[i])
-            args_z.append(fixed[i])
-    abs_y = abs(y_star)
-    for rho in all_permutations(tensor.m):
-        u = arens_evaluate(tensor, rho, args_w)
-        v = arens_evaluate(tensor, rho, args_z)
-        if abs(u).inf(abs(v)).dot(abs_y) != 0:
-            return False
-    return True

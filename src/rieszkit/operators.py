@@ -408,20 +408,10 @@ class MultiTensor:
             fixed.append((i, FinVector(coords)))
         x = FinVector.atom(self._dims[slot], s[slot])
         y = FinVector.atom(self._dims[slot], s2[slot])
-
-        def args_with(vec: FinVector) -> list[FinVector]:
-            slots = dict(fixed)
-            slots[slot] = vec
-            return [slots[i] for i in range(self.m)]
-
-        return DPWitness(
-            out_coord=out_coord,
-            slot=slot,
-            x=x,
-            y=y,
-            fixed=tuple(fixed),
-            image_x=self.apply(args_with(x)),
-            image_y=self.apply(args_with(y)),
+        witness = DPWitness(out_coord, slot, x, y, tuple(fixed), image_x=None, image_y=None)
+        return witness._replace(
+            image_x=self.apply(witness.args_for(x)),
+            image_y=self.apply(witness.args_for(y)),
         )
 
     def is_riesz_multimorphism(self) -> bool:

@@ -30,7 +30,16 @@ def vector_to_obj(vec: FinVector) -> list[str]:
 
 
 def vector_from_obj(obj) -> FinVector:
+    if not isinstance(obj, list):  # a string would be read character by character
+        raise TypeError(f"a vector must be a list of rational strings, not {type(obj).__name__}")
     return FinVector([parse_rational(c) for c in obj])
+
+
+def _index_from_obj(obj: dict, key: str) -> int:
+    value = obj[key]
+    if type(value) is not int:  # exact: true and 1.0 both equal 1
+        raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
+    return value - 1
 
 
 def witness_to_obj(witness: DPWitness) -> dict:
@@ -47,8 +56,8 @@ def witness_to_obj(witness: DPWitness) -> dict:
 
 def witness_from_obj(obj) -> DPWitness:
     return DPWitness(
-        out_coord=obj["out_coord"] - 1,
-        slot=obj["slot"] - 1,
+        out_coord=_index_from_obj(obj, "out_coord"),
+        slot=_index_from_obj(obj, "slot"),
         x=vector_from_obj(obj["x"]),
         y=vector_from_obj(obj["y"]),
         fixed=tuple(sorted(

@@ -11,26 +11,26 @@ from hypothesis import given, settings, strategies as st
 from rieszkit import (
     FinVector,
     MultiTensor,
-    NotDisjointnessPreserving,
     Permutation,
     ShapeError,
     all_permutations,
     arens_evaluate,
     arens_extension,
-    check_dp_preservation,
-    pairing_identities,
-    span_disjointness,
 )
-from helpers import arens_reference, read_chain, slot_asymmetric_tensor
-from rieszkit import cli
-from rieszkit.operators import _contract_entries
-from rieszkit.report import report_json
-from rieszkit.sampling import (
+from helpers import (
+    arens_reference,
     disjoint_vector_pair,
+    pairing_identities,
     random_dp_tensor,
     random_tensor,
     random_vector,
+    read_chain,
+    slot_asymmetric_tensor,
+    span_disjointness,
 )
+from rieszkit import cli
+from rieszkit.operators import _contract_entries
+from rieszkit.report import report_json
 
 F = Fraction
 
@@ -46,7 +46,7 @@ def test_permutation_basics():
     assert Permutation.theta(3).one_line() == (3, 2, 1)
     assert Permutation.theta(1).is_identity()
     assert len(list(all_permutations(3))) == 6
-    assert sorted(all_permutations(2)) == [Permutation([0, 1]), Permutation([1, 0])]
+    assert list(all_permutations(2)) == [Permutation([0, 1]), Permutation([1, 0])]  # lexicographic
 
 
 def test_from_cycles():
@@ -261,16 +261,9 @@ def test_dp_preservation_all_permutations():
         m = rng.choice([1, 2, 3])
         dims = tuple(rng.choice([2, 3]) for _ in range(m))
         t = random_dp_tensor(rng, dims, rng.choice([1, 2]))
-        report = check_dp_preservation(t)
-        assert report.all_dp
-        assert len(report.per_permutation) == len(list(all_permutations(m)))
-
-
-def test_dp_preservation_rejects_non_dp_input():
-    bad = MultiTensor((2, 2), 1, {(0, (0, 0)): F(1), (0, (1, 1)): F(1)})
-    with pytest.raises(NotDisjointnessPreserving) as err:
-        check_dp_preservation(bad)
-    assert err.value.verdict.witness.verify(bad)
+        assert t.is_dp().is_dp
+        for rho in all_permutations(m):
+            assert arens_extension(t, rho).tensor.is_dp().is_dp
 
 
 def test_extension_monotone():
@@ -303,18 +296,6 @@ def test_pairing_identities_dp_tensors():
             assert pairing_identities(t, y_dual, samples=10, seed=rng.randint(0, 99))
 
 
-def test_pairing_identities_rejects_wide_functional():
-    t = random_dp_tensor(random.Random(8), (2, 2), 2)
-    with pytest.raises(ValueError):
-        pairing_identities(t, FinVector([1, 1]))
-
-
-def test_pairing_identities_rejects_non_dp_tensor():
-    bad = MultiTensor((2, 2), 1, {(0, (0, 0)): F(1), (0, (1, 1)): F(1)})
-    with pytest.raises(NotDisjointnessPreserving):
-        pairing_identities(bad, FinVector([1]))
-
-
 def test_span_disjointness_dp():
     rng = random.Random(9)
     for _ in range(40):
@@ -344,10 +325,3 @@ def test_scalar_pairings_of_disjoint_images_need_not_be_disjoint():
         assert abs(u).inf(abs(v)).dot(abs(y_star)) == 0
     assert span_disjointness(t, 0, e1, e2, {1: ones}, y_star)
 
-
-def test_span_disjointness_requires_disjoint_inputs():
-    t = random_dp_tensor(random.Random(10), (2, 2), 1)
-    with pytest.raises(ValueError):
-        span_disjointness(
-            t, 0, FinVector([1, 0]), FinVector([1, 1]), {1: FinVector([1, 1])}, FinVector([1])
-        )

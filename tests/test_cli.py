@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through subprocesses."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -111,7 +112,7 @@ def test_tensor_commands_import_only_what_they_run(tmp_path):
         ["factorize", str(fixture("t_single.json"))],
         ["replay", str(report), str(fixture("t_diag.json"))],
     ]
-    heavy = ["rieszkit.arens", "rieszkit.seqmodel", "rieszkit.sampling", "dataclasses"]
+    heavy = ["rieszkit.arens", "rieszkit.seqmodel", "dataclasses"]
     assert loaded_after(argvs, heavy) == {"codes": [1, 0, 0, 0, 0], "loaded": []}
 
 
@@ -128,7 +129,8 @@ def test_seq_demo_does_not_import_arens(tmp_path):
 
 
 def test_arens_does_not_import_sampling_or_seqmodel(tmp_path):
-    # only pairing_identities samples, and the CLI never runs it
+    # the package ships no sampling module (the seeded generators are test
+    # helpers), and arens runs no part of the sequence model
     report = tmp_path / "report.json"
     report.write_bytes(run("arens", fixture("t_m3.json"), "--trace", "--json").stdout)
     argvs = [
@@ -136,7 +138,7 @@ def test_arens_does_not_import_sampling_or_seqmodel(tmp_path):
         ["arens", str(fixture("t_diag.json")), "--perm", "theta", "--trace"],
         ["replay", str(report), str(fixture("t_m3.json"))],
     ]
-    heavy = ["rieszkit.sampling", "rieszkit.seqmodel"]
+    heavy = ["rieszkit.seqmodel"]
     code = 0 if loads_spec(fixture("t_m3.json").read_text()).is_dp().is_dp else 1
     assert loaded_after(argvs, heavy) == {"codes": [code, 1, 0], "loaded": []}
 
@@ -513,16 +515,55 @@ def test_replay_past_the_digit_limit_names_the_limit(tmp_path, capsys):
 TENSOR_COMMANDS = ("check-dp", "arens", "modulus", "factorize", "rank")
 
 
+# sha256 over every (argv, mode, exit code, stdout) of the smoke matrix, per
+# fixture, with paths written as fixture and report names. A change of CLI
+# bytes, wanted or not, shows here and must be recorded on purpose.
+SMOKE_DIGESTS = {
+    "c_identity.json": "dc884590530a98d736b29c11d581d4ae777f85e157b0c1e6a9e903a67d1c08e5",
+    "c_mixed.json": "82c341b9c277a9a45117a3958ff59c0c62f082de5b7a48d0cf3b4b96644894a2",
+    "c_proj.json": "2d3185d78017fa62964ded71f80d99acda29e12c2043219d868680124ea44633",
+    "c_shift.json": "6f0b3fe1187aa478d4d179d91876e28bef7bb79132c09595acea4e1b6a509d0b",
+    "c_table.json": "7a85a1be5489dea3f02e0e89e8d490375842920f576db693cfa39d832c9c07a4",
+    "c_weighted.json": "90421f20a4739787ac163485587b45aff6659e3fd0fcf7cab1c7f7dd75b50b7f",
+    "d_decay.json": "31be02bd006bb8c02da4014cb8e3a55b1185701eaa6e566dda7037c0268ef418",
+    "d_neg.json": "b3a69e1216f4dda0ff47104c4ecaffb3c79f2072f8043199bdcbde63b083dc17",
+    "d_ones.json": "b531480ced3d9b11d966b860878252480e15309aa976fd335ccb9cc45f8cb315",
+    "d_sparse.json": "556caede6f7dcaae184b761e298f03cd8d04e48c360f8a8275c20e9f2c54b339",
+    "d_tailhalf.json": "964d1858d7503412c354e5ff1b193a2098e215bf526c8af0d95f3aac9d626c67",
+    "d_zero.json": "7af43f8369c90c18d81fa1431f06556f079f6b6f30d5134433e8b34d332672b1",
+    "t_cancel.json": "259f0798a6cafff74c02d6313f170ab0544410cd9dc0ff652a18005eef61e020",
+    "t_diag.json": "7f4930ede80790947f2965a3b6d3daa15d0268dd6e3884999c8d787b98a04099",
+    "t_m1.json": "ed5dcc0488ba22f222f461fc13033b37f2ad4673b0fa0a91e181d329578629d4",
+    "t_m3.json": "e56d28235f6f07502b1480a126ea8eeb954aedfd6b8164e4f8318a458f17ee1d",
+    "t_m4.json": "f0f15660575807c2824e060b3b86561ffc5143e50a9323d4d7a80b576659542a",
+    "t_single.json": "384d41a023a7a6f1fce1ad021be688c2df63fae4a6aacafbddb4fb75c2b95449",
+    "t_vector_dp.json": "c0c0376a8bb42ff9222ba328f7303cfefa0f7d46d376dfcb2450a394bc11d479",
+    "t_zero.json": "2988d279d83b1cbe6788349cf734835640dc744fdb7bfbe6d4b61c0fc5f502cf",
+}
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
 def test_exit_code_smoke_matrix(tmp_path, capsys, name):
     # every subcommand, human and --json, in process: exit 0, 1 or 2, never a
-    # traceback, and a fresh --json report always replays
+    # traceback, a fresh --json report always replays, and stdout is pinned
     path = str(fixture(name))
     stored = tmp_path / "report.json"
-    for argv in [[c, path] for c in TENSOR_COMMANDS] + [["seq-demo", "--weight-file", path]]:
+    digest = hashlib.sha256()
+
+    def main(argv, mode):
+        code = cli.main(argv + mode)
+        out, err = capsys.readouterr()
+        names = [{path: name, str(stored): stored.name}.get(a, a) for a in argv]
+        digest.update(json.dumps([names, mode, code, out]).encode() + b"\n")
+        return code, out, err
+
+    argvs = [[c, path] for c in TENSOR_COMMANDS] + [
+        ["arens", path, "--perm", "all", "--trace"],
+        ["seq-demo", "--weight-file", path],
+    ]
+    for argv in argvs:
         for mode in ([], ["--json"]):
-            code = cli.main(argv + mode)
-            out, err = capsys.readouterr()
+            code, out, err = main(argv, mode)
             assert code in (0, 1, 2) and "Traceback" not in err, (argv, mode, err)
         if code == 2:
             continue
@@ -531,8 +572,9 @@ def test_exit_code_smoke_matrix(tmp_path, capsys, name):
         stored.write_text(out)
         replay = ["replay", str(stored)] + ([] if argv[0] == "seq-demo" else [path])
         for mode in ([], ["--json"]):
-            assert cli.main(replay + mode) == 0, (argv, mode)
-            assert "Traceback" not in capsys.readouterr().err
+            code, _, err = main(replay, mode)
+            assert code == 0 and "Traceback" not in err, (argv, mode, err)
+    assert digest.hexdigest() == SMOKE_DIGESTS.get(name), digest.hexdigest()
 
 
 def test_replay_confirms_and_detects_tampering(tmp_path):
@@ -561,23 +603,24 @@ def test_replay_confirms_and_detects_tampering(tmp_path):
 
 
 def test_replay_tells_true_and_floats_from_integers(tmp_path):
-    # parsed JSON has true == 1 == 1.0, so replay compares canonical bytes
+    # parsed JSON has true == 1 == 1.0, so replay compares canonical bytes,
+    # and a witness index that is not a plain integer is malformed
     report_path = tmp_path / "report.json"
     report_path.write_bytes(run("check-dp", fixture("t_diag.json"), "--json").stdout)
     obj = json.loads(report_path.read_text())
     assert obj["witness"]["out_coord"] == 1 and obj["witness"]["slot"] == 1
-    for path, value in [
-        (("witness", "out_coord"), True),
-        (("witness", "slot"), 1.0),
-        (("cost", "entries"), float(obj["cost"]["entries"])),
+    for path, value, code, message in [
+        (("witness", "out_coord"), True, 2, b"malformed witness"),
+        (("witness", "slot"), 1.0, 2, b"malformed witness"),
+        (("cost", "entries"), float(obj["cost"]["entries"]), 1, b"[FAIL] report-reproduced"),
     ]:
         changed = json.loads(report_path.read_text())
         changed[path[0]][path[1]] = value
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(changed))
         result = run("replay", tampered, fixture("t_diag.json"))
-        assert result.returncode == 1, path
-        assert b"[FAIL] report-reproduced" in result.stdout
+        assert result.returncode == code, path
+        assert message in (result.stdout if code == 1 else result.stderr)
 
 
 def test_replay_of_mangled_extensions_is_a_failed_check(tmp_path):
@@ -622,23 +665,43 @@ def _zero_denominator(report):
     report["witness"]["x"][0] = "1/0"
 
 
+def _bool_out_coord(report):
+    report["witness"]["out_coord"] = True
+
+
+def _float_slot(report):
+    report["witness"]["slot"] = 1.0
+
+
+def _string_vector(report):
+    # "10" was read character by character as the vector [1, 0]
+    report["witness"]["x"] = "".join(report["witness"]["x"])
+
+
+MALFORMED_REPORTS = [
+    ("check-dp", _drop_digest, b"input_digest"),
+    ("arens", _drop_perm, b"detail.args.perm"),
+    ("check-dp", _empty_witness, b"malformed witness"),
+    ("check-dp", _zero_denominator, b"malformed witness"),
+    ("check-dp", _bool_out_coord, b"malformed witness"),
+    ("check-dp", _float_slot, b"malformed witness"),
+    ("check-dp", _string_vector, b"malformed witness"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, corrupt",
-    [
-        ("check-dp", _drop_digest),
-        ("arens", _drop_perm),
-        ("check-dp", _empty_witness),
-        ("check-dp", _zero_denominator),
-    ],
+    "command, corrupt, message",
+    MALFORMED_REPORTS,
+    ids=[f"{command}-{corrupt.__name__}" for command, corrupt, _ in MALFORMED_REPORTS],
 )
-def test_replay_malformed_report_exits_2(tmp_path, command, corrupt):
+def test_replay_malformed_report_exits_2(tmp_path, command, corrupt, message):
     report = json.loads(run(command, fixture("t_diag.json"), "--json").stdout)
     corrupt(report)
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
     result = run("replay", path, fixture("t_diag.json"))
     assert result.returncode == 2
-    assert b"Traceback" not in result.stderr
+    assert message in result.stderr and b"Traceback" not in result.stderr
 
 
 def test_replay_covers_other_commands(tmp_path):

@@ -16,13 +16,16 @@ from rieszkit import (
     ShapeError,
     factorize_multimorphism,
 )
-from rieszkit.sampling import (
+
+from helpers import (
+    closure_basis_oracle,
+    dp_oracle,
+    modulus_oracle,
     random_dp_tensor,
     random_tensor,
     random_vector,
+    rank_oracle,
 )
-
-from helpers import closure_basis_oracle, dp_oracle, modulus_oracle, rank_oracle
 
 F = Fraction
 
