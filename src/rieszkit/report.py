@@ -127,12 +127,13 @@ def report_json(report: dict) -> str:
 def _spliced(report: dict) -> str | None:
     """``_encode(report)`` with the input's wire form encoded only once, or None.
 
-    ``report`` comes from :func:`build_report`, or is one decoded. Every
-    ``arens`` extension equal to the input holds the input's one
-    wire-form dict, so that dict is encoded once and its text spliced in at
-    each of them. A stand-in string marks the places; if its encoding shows
-    up anywhere else, or fewer than two extensions share the dict, the
-    result is None and the caller encodes the report whole.
+    ``report`` comes from :func:`build_report`, or is one decoded. Each
+    ``arens`` extension is the input (every Q^d is reflexive), and the
+    report holds the input's one wire-form dict at every permutation, m!
+    copies in the text. That dict is encoded once and its text spliced in
+    at each of them. A stand-in string marks the places; if its encoding
+    shows up anywhere else, or fewer than two extensions share the dict,
+    the result is None and the caller encodes the report whole.
     """
     detail = report.get("detail", {})
     extensions = detail.get("extensions")

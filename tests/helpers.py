@@ -18,7 +18,9 @@ same questions exactly from the operator's finite pattern.
 
 The Arens law checks pairing_identities and span_disjointness evaluate
 the bidual extensions of a DP operator at sampled or given arguments
-through arens_evaluate, the definitional chain; they take their inputs
+through arens_evaluate, the definitional chain; pairing_identities also
+composes the functional with arens_reference's extension by
+compose_functional, a plain sum per index tuple. They take their inputs
 as given (a DP tensor, a DP functional, disjoint w and z) and do not
 check them. The generators random_rational, nonzero_rational,
 random_vector, disjoint_vector_pair, random_tensor and random_dp_tensor
@@ -39,7 +41,6 @@ from rieszkit import (
     Permutation,
     all_permutations,
     arens_evaluate,
-    arens_extension,
 )
 from rieszkit.fileformat import (
     SpecFileError,
@@ -49,7 +50,6 @@ from rieszkit.fileformat import (
     _rational_field,
     _require_dict,
 )
-from rieszkit.operators import _contract_entries
 from rieszkit.seqmodel import (
     DiagBilinear,
     EvConstSeq,
@@ -489,6 +489,22 @@ def parse_tensor_reference(obj) -> MultiTensor:
         raise SpecFileError(str(exc)) from exc
 
 
+def compose_functional(y_dual: FinVector, tensor: MultiTensor) -> MultiTensor:
+    """The scalar form y' o A as a one-coordinate tensor, summed plainly.
+
+    Its entry at idx is sum_k y'[k] * A[k, idx], one index tuple at a
+    time, with no library contraction.
+    """
+    entries = {}
+    for idx in itertools.product(*(range(d) for d in tensor.domain_dims)):
+        value = sum(
+            (y_dual[k] * tensor.entry(k, idx) for k in range(tensor.codomain_dim)), Fraction(0)
+        )
+        if value != 0:
+            entries[(0, idx)] = value
+    return MultiTensor(tensor.domain_dims, 1, entries)
+
+
 def pairing_identities(
     tensor: MultiTensor,
     y_dual: FinVector,
@@ -501,18 +517,15 @@ def pairing_identities(
     For every permutation and sampled bidual tuple u = (u_1, ..., u_m),
     with E = extension value, the three quantities |E(u)| applied to |y'|,
     |E(|u_1|, ..., |u_m|) applied to y'| and |E(u) applied to y'| must
-    agree, and y' o E must itself be a DP scalar form. ``tensor`` must be
-    DP and ``y_dual`` a DP functional (at most one nonzero coordinate).
+    agree, and y' o E must itself be a DP scalar form, with E taken from
+    :func:`arens_reference` and composed by :func:`compose_functional`.
+    ``tensor`` must be DP and ``y_dual`` a DP functional (at most one
+    nonzero coordinate).
     """
     rng = random.Random(seed)
     abs_y = abs(y_dual)
     for rho in all_permutations(tensor.m):
-        extension = arens_extension(tensor, rho).tensor
-        contracted = _contract_entries(dict(extension.items()), y_dual.__getitem__)
-        composed = MultiTensor(
-            tensor.domain_dims, 1, {(0, idx): v for (idx,), v in contracted.items()}
-        )
-        if not composed.is_dp().is_dp:
+        if not compose_functional(y_dual, arens_reference(tensor, rho)[0]).is_dp().is_dp:
             return False
         for _ in range(samples):
             biduals = [random_vector(rng, d) for d in tensor.domain_dims]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import random
@@ -15,7 +16,7 @@ import pytest
 
 from helpers import arens_reference, read_chain
 from rieszkit import MultiTensor, Permutation, arens_extension, cli, parse_rational
-from rieszkit.fileformat import loads_spec
+from rieszkit.fileformat import loads_spec, tensor_to_obj
 from rieszkit.report import input_digest, witness_from_obj
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -258,22 +259,58 @@ def test_arens_m4_and_non_dp_input():
     assert "witness" in json.loads(result.stdout)
 
 
-def test_arens_decides_dp_once_per_distinct_extension(monkeypatch):
-    tensor = loads_spec(fixture("t_diag.json").read_text())
-    calls = []
-    is_dp = MultiTensor.is_dp
+def test_arens_builds_no_extension_tensor(monkeypatch):
+    # every extension is the input, by reflexivity: the report decides DP
+    # once, on the input, and builds no tensor per permutation
+    calls, built = [], []
+    is_dp, init, derived = MultiTensor.is_dp, MultiTensor.__init__, MultiTensor._derived.__func__
 
     def counted(self):
         calls.append(self)
         return is_dp(self)
 
-    monkeypatch.setattr(MultiTensor, "is_dp", counted)
-    code, report = cli._report_arens(tensor, "sha256:x", {"perm": "all", "trace": False})
-    assert code == 1
-    assert len(calls) == 1 and calls[0] is tensor  # every extension equals the input
-    extensions = report["detail"]["extensions"]
-    assert len(extensions) == 2
-    assert all(e["dp"] is False for e in extensions)
+    def counted_init(self, *args, **kwargs):
+        built.append("__init__")
+        init(self, *args, **kwargs)
+
+    def counted_derived(cls, *args):
+        built.append("_derived")
+        return derived(cls, *args)
+
+    for name, code in (("t_diag.json", 1), ("t_m4.json", 0)):
+        tensor = loads_spec(fixture(name).read_text())
+        for trace in (False, True):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(MultiTensor, "is_dp", counted)
+                patch.setattr(MultiTensor, "__init__", counted_init)
+                patch.setattr(MultiTensor, "_derived", classmethod(counted_derived))
+                got, report = cli._report_arens(tensor, "sha256:x", {"perm": "all", "trace": trace})
+            assert got == code
+            assert built == [], (name, trace, len(built))  # one tensor per permutation shows here
+            assert len(calls) == 1 and calls[0] is tensor
+            extensions = report["detail"]["extensions"]
+            assert len(extensions) == math.factorial(tensor.m)
+            assert all(e["dp"] is (code == 0) for e in extensions)
+
+
+def test_arens_report_matches_reference_on_every_fixture():
+    # the report prints the input as every extension; the per-node reference
+    # chain decides on each tensor fixture that this is the extension and
+    # that it is DP whenever the input is
+    for path in sorted(FIXTURES.glob("*.json")):
+        tensor = loads_spec(path.read_text())
+        if not isinstance(tensor, MultiTensor):
+            continue
+        _, report = cli._report_arens(tensor, "sha256:x", {"perm": "all", "trace": False})
+        input_dp = tensor.is_dp().is_dp
+        for extension in report["detail"]["extensions"]:
+            rho = Permutation([i - 1 for i in extension["perm"]])
+            expected = arens_reference(tensor, rho)[0]
+            assert expected == tensor, (path.name, rho)
+            assert extension["tensor"] == tensor_to_obj(expected), (path.name, rho)
+            assert expected.is_dp().is_dp is input_dp
+            assert extension["dp"] is input_dp
 
 
 def _non_dp_16x4_spec(seed: int) -> dict:
@@ -306,6 +343,15 @@ def _int_bits(obj) -> list[int]:
     return []
 
 
+# sha256 of the stdout of `arens --perm all --json` on _non_dp_16x4_spec(16),
+# without and with --trace. Only at this size do the spliced encoding and
+# the bounded witness both show in the bytes.
+NON_DP_16X4_ARENS_DIGESTS = {
+    (): "d558bc3177ea7d0528afdd2839f91bea91b123e8aaaa6aa1895c5bdbbd3d58be",
+    ("--trace",): "4037004ae3df3fff93864a9a426b528189f2907e85d487cc19893bcfc41a8fa6",
+}
+
+
 def test_non_dp_16x4_witness_is_small(tmp_path):
     # Full-support witnesses of a 16^4 tensor ran to tens of thousands of
     # bits and past the int-to-str limit (exit 3); the bounded witness
@@ -313,9 +359,13 @@ def test_non_dp_16x4_witness_is_small(tmp_path):
     spec = tmp_path / "nondp.json"
     spec.write_text(json.dumps(_non_dp_16x4_spec(16)))
     tensor = loads_spec(spec.read_text())
-    for args in (["check-dp"], ["factorize"], ["arens", "--perm", "all", "--trace"]):
+    arens = ["arens", "--perm", "all"]
+    for args in (["check-dp"], ["factorize"], arens, arens + ["--trace"]):
         result = run(args[0], spec, *args[1:], "--json")
         assert result.returncode == 1, (args, result.stderr)
+        if args[0] == "arens":
+            digest = NON_DP_16X4_ARENS_DIGESTS[tuple(args[3:])]
+            assert hashlib.sha256(result.stdout).hexdigest() == digest, args
         report = json.loads(result.stdout)
         assert witness_from_obj(report["witness"]).verify(tensor)
         assert max(_int_bits(report)) < 64
