@@ -31,6 +31,11 @@ shared with the sequence model (:mod:`rieszkit.seqmodel`), which runs the
 same chain over finitely supported forms indexed by sequence positions
 instead of finite slots. For m = 1 the single extension is the second
 adjoint T'' of a linear map.
+
+The ``arens`` subcommand's report is built here too (:func:`_report_arens`,
+with the ``--perm`` choices and the wire form of the trace marginals), so
+the command line front end loads this module only for ``arens`` and for a
+replay of a stored ``arens`` report.
 """
 
 from __future__ import annotations
@@ -40,7 +45,10 @@ import re
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
+from .fileformat import SpecFileError, tensor_to_obj
 from .operators import MultiTensor, ShapeError, _contract_entries
+from .rational import format_rational
+from .report import build_report, check, witness_to_obj
 from .vectors import FinVector
 
 _ZERO = Fraction(0)
@@ -76,8 +84,10 @@ class Permutation:
     def from_cycles(cls, text: str, m: int) -> "Permutation":
         """Parse 1-based cycle notation such as "(1 2)(3)".
 
-        Cycle points are ASCII digits only, so "(1 ٢)", "(+1 2)" and
-        "(1 2_0)" are errors rather than other spellings of a point.
+        Cycle points are ASCII digits without a leading zero, so "(1 ٢)",
+        "(+1 2)", "(1 2_0)" and "(01 2)" are errors rather than other
+        spellings of a point: the report echoes ``--perm`` as given, so
+        each would be another digest for the same run.
         """
         if not re.fullmatch(r"\s*(\([^()]*\)\s*)+", text):
             raise ValueError(f"not cycle notation: {text!r}")
@@ -88,6 +98,8 @@ class Permutation:
             for word in words:
                 if not re.fullmatch("[0-9]+", word):
                     raise ValueError(f"cycle point {word!r} is not a number in ASCII digits")
+                if word.startswith("0") and word != "0":
+                    raise ValueError(f"cycle point {word!r} has a leading zero; write it without one")
             points = [int(word) for word in words]
             if any(not 1 <= p <= m for p in points):
                 raise ValueError(f"cycle point out of range 1..{m}: {body!r}")
@@ -239,3 +251,84 @@ def arens_evaluate(
             form = _contract_entries(form, biduals[slot].__getitem__)
         out.append(form.get((), _ZERO))
     return FinVector(out)
+
+
+# -- the arens report -----------------------------------------------------------
+
+
+def _perm_choices(text: str, m: int) -> list[Permutation]:
+    if text == "all":
+        return list(all_permutations(m))
+    if text == "id":
+        return [Permutation.identity(m)]
+    if text == "theta":
+        return [Permutation.theta(m)]
+    try:
+        return [Permutation.from_cycles(text, m)]
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from exc
+
+
+def _marginal_obj(dims: tuple[int, ...], mask: int, entries: _Form) -> dict:
+    """Wire form of a trace marginal: its remaining slots ascending, 1-based.
+
+    Each entry is [i_1, ..., i_k, "p/q"], an index tuple over those slots
+    followed by the value.
+    """
+    slots = [s for s in range(len(dims)) if not mask >> s & 1]
+    return {
+        "dims": [dims[s] for s in slots],
+        "slots": [s + 1 for s in slots],
+        "entries": [
+            [i + 1 for i in idx] + [format_rational(v)]
+            for idx, v in sorted(entries.items())
+        ],
+    }
+
+
+def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dict]:
+    """The ``arens`` report: the extension and its DP verdict per permutation.
+
+    ``args`` holds the ``perm`` choice and the ``trace`` flag, as the
+    command line gives them and a stored report's ``detail.args`` keeps them.
+    """
+    perms = _perm_choices(args["perm"], tensor.m)
+    with_trace = args["trace"]
+    verdict = tensor.is_dp()
+    # Every Q^d is reflexive: each extension is the input, so all of them
+    # share its verdict and its one wire-form dict.
+    tensor_obj = tensor_to_obj(tensor)
+    checks = [check("input-dp", verdict.is_dp)]
+    extensions = []
+    for rho in perms:
+        name = "perm " + " ".join(str(i) for i in rho.one_line())
+        checks.append(check(f"restriction [{name}]", True))
+        if verdict.is_dp:
+            checks.append(check(f"dp-preserved [{name}]", True))
+        entry = {"perm": list(rho.one_line()), "dp": verdict.is_dp, "tensor": tensor_obj}
+        if with_trace:
+            entry["trace"] = chain_masks(rho)
+        extensions.append(entry)
+    witness = None if verdict.witness is None else witness_to_obj(verdict.witness)
+    detail = {"extensions": extensions, "args": args}
+    if with_trace:
+        detail["marginals"] = {
+            str(k + 1): {
+                str(mask): _marginal_obj(tensor.domain_dims, mask, entries)
+                for mask, entries in memo.items()
+            }
+            for k, memo in trace_marginals(tensor.slices(), perms).items()
+        }
+    report = build_report(
+        "arens",
+        digest,
+        checks,
+        witness=witness,
+        cost={
+            "permutations": len(perms),
+            "entries": tensor.nnz(),
+            "codomain": tensor.codomain_dim,
+        },
+        detail=detail,
+    )
+    return (0 if report["ok"] else 1), report

@@ -5,9 +5,12 @@ and weighted composition operators. All indices on the wire are 1-based;
 rationals are strings "p/q" (or "p" when the denominator is 1). A tensor
 file is recognized by its "m" field; the two sequence kinds must carry an
 explicit "kind". Duplicate tensor entries are rejected rather than merged.
+The parsers of the two sequence kinds live in :mod:`rieszkit.seqmodel`,
+which :func:`parse_spec` loads only when it reads one.
 
-Spec serialization is canonical (sorted keys, fixed indentation, trailing
-newline), so identical objects produce identical bytes. CLI reports use a
+:func:`canonical_json` is the canonical spec text (sorted keys, fixed
+indentation, trailing newline), so identical objects produce identical
+bytes; seq-demo digests its default weight in it. CLI reports use a
 compact canonical form instead (:func:`rieszkit.report.report_json`).
 """
 
@@ -32,8 +35,6 @@ _TENSOR_KEYS = {"format", "kind", "m", "domain_dims", "codomain_dim", "entries"}
 _ENTRY_KEYS = {"out", "idx", "value"}
 _INT_TYPE = {int}
 _SEQ_KEYS = {"exceptions", "tail"}
-_DIAG_KEYS = {"format", "kind", "weight"}
-_COMP_KEYS = {"format", "kind", "weight", "table", "shift"}
 
 
 class SpecFileError(ValueError):
@@ -231,56 +232,6 @@ def seq_to_obj(seq: EvConstSeq) -> dict:
     }
 
 
-def parse_diag(obj) -> DiagBilinear:
-    from .seqmodel import DiagBilinear
-
-    obj = _require_dict(obj, "diag-bilinear spec")
-    _check_keys(obj, _DIAG_KEYS, {"kind", "weight"}, "diag-bilinear spec")
-    _check_version(obj)
-    if obj["kind"] != "diag-bilinear":
-        raise SpecFileError(f"kind {obj['kind']!r} is not 'diag-bilinear'")
-    return DiagBilinear(parse_seq(obj["weight"], "weight"))
-
-
-def diag_to_obj(op: DiagBilinear) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "diag-bilinear",
-        "weight": seq_to_obj(op.weight),
-    }
-
-
-def parse_comp(obj) -> WeightedCompOp:
-    from .seqmodel import WeightedCompOp
-
-    obj = _require_dict(obj, "weighted-comp spec")
-    _check_keys(obj, _COMP_KEYS, {"kind", "weight"}, "weighted-comp spec")
-    _check_version(obj)
-    if obj["kind"] != "weighted-comp":
-        raise SpecFileError(f"kind {obj['kind']!r} is not 'weighted-comp'")
-    table_obj = _require_dict(obj.get("table", {}), "weighted-comp table")
-    table: dict[int, int] = {}
-    for key, target in table_obj.items():
-        index = index_key(key, "table index")
-        if not isinstance(target, int) or isinstance(target, bool) or target < 1:
-            raise SpecFileError(f"table target {target!r} must be a 1-based integer")
-        table[index] = target
-    shift = obj.get("shift", 0)
-    if not isinstance(shift, int) or isinstance(shift, bool) or shift < 0:
-        raise SpecFileError(f"shift must be a nonnegative integer, got {shift!r}")
-    return WeightedCompOp(parse_seq(obj["weight"], "weight"), table, shift)
-
-
-def comp_to_obj(op: WeightedCompOp) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "weighted-comp",
-        "weight": seq_to_obj(op.weight),
-        "table": {str(k): v for k, v in sorted(op.table.items())},
-        "shift": op.shift,
-    }
-
-
 def parse_spec(obj) -> MultiTensor | DiagBilinear | WeightedCompOp:
     obj = _require_dict(obj, "spec file")
     kind = obj.get("kind")
@@ -292,22 +243,14 @@ def parse_spec(obj) -> MultiTensor | DiagBilinear | WeightedCompOp:
     if kind == "tensor":
         return parse_tensor(obj)
     if kind == "diag-bilinear":
+        from .seqmodel import parse_diag
+
         return parse_diag(obj)
     if kind == "weighted-comp":
+        from .seqmodel import parse_comp
+
         return parse_comp(obj)
     raise SpecFileError(f"unknown spec kind {kind!r}")
-
-
-def spec_to_obj(spec) -> dict:
-    if isinstance(spec, MultiTensor):
-        return tensor_to_obj(spec)
-    from .seqmodel import DiagBilinear, WeightedCompOp
-
-    if isinstance(spec, DiagBilinear):
-        return diag_to_obj(spec)
-    if isinstance(spec, WeightedCompOp):
-        return comp_to_obj(spec)
-    raise TypeError(f"not a spec object: {type(spec).__name__}")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -332,11 +275,3 @@ def decode_json(text: str, what: str = "JSON"):
 
 def loads_spec(text: str) -> MultiTensor | DiagBilinear | WeightedCompOp:
     return parse_spec(decode_json(text))
-
-
-def load_spec_file(path: str) -> MultiTensor | DiagBilinear | WeightedCompOp:
-    return loads_spec(decode_utf8(read_bytes(path)))
-
-
-def dumps_spec(spec) -> str:
-    return canonical_json(spec_to_obj(spec))

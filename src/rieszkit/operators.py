@@ -117,14 +117,6 @@ class MultimorphismFactorization(NamedTuple):
     def is_zero(self) -> bool:
         return self.coords is None
 
-    def evaluate(self, args: Sequence[FinVector]) -> Fraction:
-        if self.coords is None:
-            return _ZERO
-        value = self.scale
-        for i, c in enumerate(self.coords):
-            value *= args[i][c]
-        return value
-
 
 class MultiTensor:
     """Sparse exact tensor of an m-linear operator Q^{d_1} x ... -> Q^c."""
@@ -175,21 +167,6 @@ class MultiTensor:
         return tensor
 
     @classmethod
-    def from_rows(
-        cls,
-        domain_dims: Sequence[int],
-        codomain_dim: int,
-        rows: Iterable[tuple[int, Sequence[int], object]],
-    ) -> "MultiTensor":
-        entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        for k, idx, value in rows:
-            key = (k, tuple(idx))
-            if key in entries:
-                raise ShapeError(f"duplicate entry for out={k}, idx={tuple(idx)}")
-            entries[key] = as_fraction(value)
-        return cls(domain_dims, codomain_dim, entries)
-
-    @classmethod
     def zero(cls, domain_dims: Sequence[int], codomain_dim: int) -> "MultiTensor":
         return cls(domain_dims, codomain_dim, {})
 
@@ -219,15 +196,6 @@ class MultiTensor:
 
     def items(self) -> Iterator[tuple[tuple[int, tuple[int, ...]], Fraction]]:
         return iter(self._entries.items())
-
-    def same_shape(self, other: "MultiTensor") -> bool:
-        return self._dims == other._dims and self._cod == other._cod
-
-    def _require_shape(self, other: "MultiTensor") -> None:
-        if not self.same_shape(other):
-            raise ShapeError(
-                f"shape mismatch: {self._dims}->{self._cod} vs {other._dims}->{other._cod}"
-            )
 
     def __eq__(self, other) -> bool:
         return (
@@ -267,58 +235,21 @@ class MultiTensor:
 
     # -- entrywise lattice structure ------------------------------------------
 
-    def _map_entries(self, fn) -> "MultiTensor":
-        return MultiTensor(
-            self._dims,
-            self._cod,
-            {key: fn(v) for key, v in self._entries.items()},
-        )
+    # The modulus and the negative of a nonzero Fraction are nonzero Fractions,
+    # so both keep this tensor's valid keys and skip the validating __init__.
 
     def modulus(self) -> "MultiTensor":
         """|A|: entrywise absolute value; the least positive majorant of A and -A."""
-        return self._map_entries(abs)
-
-    def positive_part(self) -> "MultiTensor":
-        return self._map_entries(lambda v: v if v > 0 else _ZERO)
-
-    def negative_part(self) -> "MultiTensor":
-        return self._map_entries(lambda v: -v if v < 0 else _ZERO)
-
-    def __add__(self, other: "MultiTensor") -> "MultiTensor":
-        self._require_shape(other)
-        merged = dict(self._entries)
-        for key, v in other._entries.items():
-            merged[key] = merged.get(key, _ZERO) + v
-        return MultiTensor(self._dims, self._cod, merged)
-
-    def __sub__(self, other: "MultiTensor") -> "MultiTensor":
-        return self + other._map_entries(lambda v: -v)
+        entries = {key: abs(v) for key, v in self._entries.items()}
+        return MultiTensor._derived(self._dims, self._cod, entries)
 
     def __neg__(self) -> "MultiTensor":
-        return self._map_entries(lambda v: -v)
-
-    def scale(self, scalar) -> "MultiTensor":
-        s = as_fraction(scalar)
-        if s == 0:
-            return MultiTensor.zero(self._dims, self._cod)
-        return self._map_entries(lambda v: s * v)
+        entries = {key: -v for key, v in self._entries.items()}
+        return MultiTensor._derived(self._dims, self._cod, entries)
 
     def is_positive(self) -> bool:
         """A >= 0 in the operator order, i.e. every entry is nonnegative."""
         return not any(v < 0 for v in self._entries.values())
-
-    def leq(self, other: "MultiTensor") -> bool:
-        """Entrywise operator order A <= B.
-
-        Equivalent to (B - A)(x_1, ..., x_m) >= 0 for all positive inputs,
-        since atom tuples recover the entries and generate the cone.
-        """
-        self._require_shape(other)
-        keys = set(self._entries) | set(other._entries)
-        return all(
-            self._entries.get(key, _ZERO) <= other._entries.get(key, _ZERO)
-            for key in keys
-        )
 
     # -- slices -----------------------------------------------------------------
 
@@ -414,24 +345,7 @@ class MultiTensor:
             image_y=self.apply(witness.args_for(y)),
         )
 
-    def is_riesz_multimorphism(self) -> bool:
-        """Positive and disjointness preserving.
-
-        For positive operators this is equivalent to the modulus identity
-        |A(x_1, ..., x_m)| = A(|x_1|, ..., |x_m|) holding everywhere.
-        """
-        if any(v < 0 for v in self._entries.values()):
-            return False
-        return self.is_dp().is_dp
-
     # -- lattice rank of the range ------------------------------------------------
-
-    def atom_images(self) -> list[FinVector]:
-        """Images of all atom tuples with nonzero image (the tensor columns)."""
-        columns: dict[tuple[int, ...], list[Fraction]] = {}
-        for (k, idx), v in self._entries.items():
-            columns.setdefault(idx, [_ZERO] * self._cod)[k] = v
-        return [FinVector(col) for idx, col in sorted(columns.items())]
 
     def range_sublattice_basis(self) -> list[FinVector]:
         """Basis of the smallest linear sublattice containing the range.

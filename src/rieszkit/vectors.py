@@ -152,10 +152,3 @@ class FinVector:
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self) if a != 0)
-
-    # -- duality -----------------------------------------------------------
-
-    def dot(self, other: "FinVector") -> Fraction:
-        """Evaluation pairing sum_i x_i * f_i."""
-        self._check_dim(other)
-        return sum((a * b for a, b in zip(self, other)), _ZERO)

@@ -11,10 +11,11 @@ one validated form per node, pairing each slot against its bidual tail
 index by tail index, with no library contraction; read_chain reads a
 chain of trace marginals the way the README decodes a traced report;
 parse_tensor_reference parses a tensor spec with a check per entry, then
-MultiTensor.from_rows and the validating constructor. The sequence-model oracles (biadjoint_dp_check,
-dual_basis_dp, rank_lower_bound, slotwise_dp_check) decide by sampling
-disjoint pairs and testing their images, where the library decides the
-same questions exactly from the operator's finite pattern.
+from_rows and the validating constructor. The sequence-model oracles
+(biadjoint_dp_check, dual_basis_dp, rank_lower_bound, slotwise_dp_check)
+decide by sampling disjoint pairs and testing their images, where the
+library decides the same questions exactly from the operator's finite
+pattern.
 
 The Arens law checks pairing_identities and span_disjointness evaluate
 the bidual extensions of a DP operator at sampled or given arguments
@@ -26,6 +27,13 @@ check them. The generators random_rational, nonzero_rational,
 random_vector, disjoint_vector_pair, random_tensor and random_dp_tensor
 draw every property-test input from an explicit random.Random, so any
 run replays from its seed.
+
+The package ships only what a CLI path or a benchmark op runs. The
+operations that only the tests use (the MultiTensor vector-space and
+lattice operations, atom_images, evaluate, dot, is_finitely_supported
+and the spec writers dumps_spec, spec_to_obj, diag_to_obj and
+comp_to_obj) are plain functions here, built through the validating
+constructors.
 """
 
 from __future__ import annotations
@@ -39,17 +47,27 @@ from rieszkit import (
     FinVector,
     MultiTensor,
     Permutation,
+    ShapeError,
     all_permutations,
     arens_evaluate,
+    as_fraction,
 )
 from rieszkit.fileformat import (
+    FORMAT_VERSION,
     SpecFileError,
     _check_keys,
     _check_version,
     _int_field,
     _rational_field,
     _require_dict,
+    canonical_json,
+    decode_utf8,
+    loads_spec,
+    read_bytes,
+    seq_to_obj,
+    tensor_to_obj,
 )
+from rieszkit.operators import MultimorphismFactorization
 from rieszkit.seqmodel import (
     DiagBilinear,
     EvConstSeq,
@@ -59,6 +77,149 @@ from rieszkit.seqmodel import (
     diag_arens,
     random_seq,
 )
+
+
+# -- operations the package does not ship -------------------------------------------
+#
+# No CLI path and no benchmark op reaches these, so they live beside the tests
+# that state the laws they express (A+ - A- = A, A <= |A|, ...).
+
+
+def from_rows(domain_dims: tuple[int, ...], codomain_dim: int, rows) -> MultiTensor:
+    """A tensor from (out, idx, value) rows; a row given twice is a ShapeError."""
+    entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    for k, idx, value in rows:
+        key = (k, tuple(idx))
+        if key in entries:
+            raise ShapeError(f"duplicate entry for out={k}, idx={tuple(idx)}")
+        entries[key] = as_fraction(value)
+    return MultiTensor(domain_dims, codomain_dim, entries)
+
+
+def _require_shape(a: MultiTensor, b: MultiTensor) -> None:
+    if a.domain_dims != b.domain_dims or a.codomain_dim != b.codomain_dim:
+        raise ShapeError(
+            f"shape mismatch: {a.domain_dims}->{a.codomain_dim} vs {b.domain_dims}->{b.codomain_dim}"
+        )
+
+
+def _map_entries(tensor: MultiTensor, fn) -> MultiTensor:
+    return MultiTensor(
+        tensor.domain_dims, tensor.codomain_dim, {key: fn(v) for key, v in tensor.items()}
+    )
+
+
+def positive_part(tensor: MultiTensor) -> MultiTensor:
+    return _map_entries(tensor, lambda v: v if v > 0 else Fraction(0))
+
+
+def negative_part(tensor: MultiTensor) -> MultiTensor:
+    return _map_entries(tensor, lambda v: -v if v < 0 else Fraction(0))
+
+
+def add(a: MultiTensor, b: MultiTensor) -> MultiTensor:
+    _require_shape(a, b)
+    merged = dict(a.items())
+    for key, v in b.items():
+        merged[key] = merged.get(key, Fraction(0)) + v
+    return MultiTensor(a.domain_dims, a.codomain_dim, merged)
+
+
+def sub(a: MultiTensor, b: MultiTensor) -> MultiTensor:
+    return add(a, _map_entries(b, lambda v: -v))
+
+
+def scale(tensor: MultiTensor, scalar) -> MultiTensor:
+    s = as_fraction(scalar)
+    if s == 0:
+        return MultiTensor.zero(tensor.domain_dims, tensor.codomain_dim)
+    return _map_entries(tensor, lambda v: s * v)
+
+
+def leq(a: MultiTensor, b: MultiTensor) -> bool:
+    """Entrywise operator order A <= B.
+
+    Equivalent to (B - A)(x_1, ..., x_m) >= 0 for all positive inputs,
+    since atom tuples recover the entries and generate the cone.
+    """
+    _require_shape(a, b)
+    keys = {key for key, _ in a.items()} | {key for key, _ in b.items()}
+    return all(a.entry(*key) <= b.entry(*key) for key in keys)
+
+
+def is_riesz_multimorphism(tensor: MultiTensor) -> bool:
+    """Positive and disjointness preserving.
+
+    For positive operators this is equivalent to the modulus identity
+    |A(x_1, ..., x_m)| = A(|x_1|, ..., |x_m|) holding everywhere.
+    """
+    return tensor.is_positive() and tensor.is_dp().is_dp
+
+
+def atom_images(tensor: MultiTensor) -> list[FinVector]:
+    """Images of all atom tuples with nonzero image (the tensor columns)."""
+    columns: dict[tuple[int, ...], list[Fraction]] = {}
+    for (k, idx), v in tensor.items():
+        columns.setdefault(idx, [Fraction(0)] * tensor.codomain_dim)[k] = v
+    return [FinVector(col) for idx, col in sorted(columns.items())]
+
+
+def evaluate(factorization: MultimorphismFactorization, args) -> Fraction:
+    """scale * x_1[c_1] * ... * x_m[c_m], or 0 for the zero operator."""
+    if factorization.coords is None:
+        return Fraction(0)
+    value = factorization.scale
+    for i, c in enumerate(factorization.coords):
+        value *= args[i][c]
+    return value
+
+
+def dot(x: FinVector, f: FinVector) -> Fraction:
+    """Evaluation pairing sum_i x_i * f_i."""
+    if x.dim != f.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {f.dim}")
+    return sum((a * b for a, b in zip(x, f)), Fraction(0))
+
+
+def is_finitely_supported(seq: EvConstSeq) -> bool:
+    return seq.tail == 0
+
+
+def diag_to_obj(op: DiagBilinear) -> dict:
+    return {
+        "format": FORMAT_VERSION,
+        "kind": "diag-bilinear",
+        "weight": seq_to_obj(op.weight),
+    }
+
+
+def comp_to_obj(op: WeightedCompOp) -> dict:
+    return {
+        "format": FORMAT_VERSION,
+        "kind": "weighted-comp",
+        "weight": seq_to_obj(op.weight),
+        "table": {str(k): v for k, v in sorted(op.table.items())},
+        "shift": op.shift,
+    }
+
+
+def spec_to_obj(spec) -> dict:
+    if isinstance(spec, MultiTensor):
+        return tensor_to_obj(spec)
+    if isinstance(spec, DiagBilinear):
+        return diag_to_obj(spec)
+    if isinstance(spec, WeightedCompOp):
+        return comp_to_obj(spec)
+    raise TypeError(f"not a spec object: {type(spec).__name__}")
+
+
+def load_spec_file(path: str):
+    return loads_spec(decode_utf8(read_bytes(path)))
+
+
+def dumps_spec(spec) -> str:
+    """The canonical spec text of a tensor, diag-bilinear or weighted-comp object."""
+    return canonical_json(spec_to_obj(spec))
 
 
 def random_rational(rng: random.Random, *, span: int = 6, max_den: int = 4) -> Fraction:
@@ -183,7 +344,7 @@ def rank_oracle(tensor: MultiTensor) -> int:
     separated, while rows on distinct rays are independent. The dimension
     is therefore the number of distinct rays among the nonzero rows.
     """
-    columns = tensor.atom_images()
+    columns = atom_images(tensor)
     rays = set()
     for i in range(tensor.codomain_dim):
         row = tuple(col[i] for col in columns)
@@ -228,7 +389,7 @@ def closure_basis_oracle(tensor: MultiTensor) -> list[FinVector]:
     under all lattice operations. The dimension is bounded by the
     codomain, so this terminates.
     """
-    basis = _rref_basis(tensor.atom_images())
+    basis = _rref_basis(atom_images(tensor))
     if not basis:
         return []
     zero = FinVector.zero(tensor.codomain_dim)
@@ -248,7 +409,7 @@ def closure_basis_oracle(tensor: MultiTensor) -> list[FinVector]:
 def modulus_oracle(tensor: MultiTensor) -> MultiTensor:
     """Pointwise least positive majorant of A and -A, built independently."""
     rows = [(k, idx, max(v, -v)) for k, idx, v in tensor.rows()]
-    return MultiTensor.from_rows(tensor.domain_dims, tensor.codomain_dim, rows)
+    return from_rows(tensor.domain_dims, tensor.codomain_dim, rows)
 
 
 def sign_tensors(
@@ -293,7 +454,7 @@ def sign_tensors(
             ]
             if dedup_swap is not None and swap_key(rows) < rows:
                 continue
-            yield MultiTensor.from_rows(domain_dims, codomain_dim, rows)
+            yield from_rows(domain_dims, codomain_dim, rows)
     else:
         for size in range(max_support + 1):
             for chosen in itertools.combinations(cells, size):
@@ -301,7 +462,7 @@ def sign_tensors(
                     rows = [(k, idx, s) for (k, idx), s in zip(chosen, signs)]
                     if dedup_swap is not None and swap_key(rows) < rows:
                         continue
-                    yield MultiTensor.from_rows(domain_dims, codomain_dim, rows)
+                    yield from_rows(domain_dims, codomain_dim, rows)
 
 
 def count_sign_tensors(domain_dims, codomain_dim, max_support=None) -> int:
@@ -450,7 +611,7 @@ def slot_asymmetric_tensor(
 def parse_tensor_reference(obj) -> MultiTensor:
     """Tensor spec parsing by the validating route.
 
-    Each entry is checked on its own, then MultiTensor.from_rows rejects
+    Each entry is checked on its own, then from_rows rejects
     duplicates and MultiTensor() checks the shape, the ranges and drops
     zero values; its messages are the ones the one-pass parser must keep.
     """
@@ -484,7 +645,7 @@ def parse_tensor_reference(obj) -> MultiTensor:
         value = _rational_field(entry["value"], f"entries[{pos}].value")
         rows.append((out - 1, tuple(i - 1 for i in idx), value))
     try:
-        return MultiTensor.from_rows(tuple(dims), codomain, rows)
+        return from_rows(tuple(dims), codomain, rows)
     except ValueError as exc:
         raise SpecFileError(str(exc)) from exc
 
@@ -531,9 +692,9 @@ def pairing_identities(
             biduals = [random_vector(rng, d) for d in tensor.domain_dims]
             value = arens_evaluate(tensor, rho, biduals)
             value_abs_args = arens_evaluate(tensor, rho, [abs(b) for b in biduals])
-            lhs = abs(value).dot(abs_y)
-            mid = abs(value_abs_args.dot(y_dual))
-            rhs = abs(value.dot(y_dual))
+            lhs = dot(abs(value), abs_y)
+            mid = abs(dot(value_abs_args, y_dual))
+            rhs = abs(dot(value, y_dual))
             if not (lhs == mid == rhs):
                 return False
     return True
@@ -562,7 +723,7 @@ def span_disjointness(
     for rho in all_permutations(tensor.m):
         u = arens_evaluate(tensor, rho, args_w)
         v = arens_evaluate(tensor, rho, args_z)
-        if abs(u).inf(abs(v)).dot(abs_y) != 0:
+        if dot(abs(u).inf(abs(v)), abs_y) != 0:
             return False
     return True
 

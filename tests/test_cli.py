@@ -14,8 +14,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import arens_reference, read_chain
+from helpers import arens_reference, atom_images, read_chain
 from rieszkit import MultiTensor, Permutation, arens_extension, cli, parse_rational
+from rieszkit.arens import _report_arens
 from rieszkit.fileformat import loads_spec, tensor_to_obj
 from rieszkit.report import input_digest, witness_from_obj
 
@@ -83,16 +84,33 @@ def test_unexpected_error_exits_3(monkeypatch, capsys):
 
 
 def loaded_after(argvs, modules):
-    """Exit codes of cli.main over argvs in one fresh interpreter, and which of modules it loaded."""
+    """What cli.main over argvs loads, in one fresh interpreter.
+
+    Returns, after each argv, its exit code, which of ``modules`` are
+    loaded, and the AST node count of every loaded ``rieszkit`` module's
+    source: what a process without cached bytecode compiles. Both
+    accumulate over the argvs, as the modules do.
+    """
     script = textwrap.dedent(
         f"""
-        import contextlib, io, json, sys
+        import ast, contextlib, io, json, sys
         import rieszkit.cli
-        codes = []
+
+        def nodes():
+            names = [n for n in sys.modules if n == "rieszkit" or n.startswith("rieszkit.")]
+            total = 0
+            for name in names:
+                with open(sys.modules[name].__file__, encoding="utf-8") as handle:
+                    total += sum(1 for _ in ast.walk(ast.parse(handle.read())))
+            return total
+
+        codes, loaded, counts = [], [], []
         for argv in {argvs!r}:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 codes.append(rieszkit.cli.main(argv))
-        print(json.dumps({{"codes": codes, "loaded": sorted({set(modules)!r} & set(sys.modules))}}))
+            loaded.append(sorted({set(modules)!r} & set(sys.modules)))
+            counts.append(nodes())
+        print(json.dumps({{"codes": codes, "loaded": loaded, "nodes": counts}}))
         """
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True)
@@ -100,10 +118,18 @@ def loaded_after(argvs, modules):
     return json.loads(result.stdout)
 
 
+# Compile budgets, in AST nodes of the loaded rieszkit sources. A docstring is
+# one node and a comment none, so trimming them cannot meet a budget.
+TENSOR_BUDGET = 8_800
+REPLAY_BUDGET = 9_400
+ARENS_BUDGET = 10_600
+
+
 def test_tensor_commands_import_only_what_they_run(tmp_path):
     # Structural, not timed: start-up cost is the modules a process imports
     # (and, without cached bytecode, compiles), so tensor subcommands must not
-    # pull in the Arens or sequence-model layers, or dataclasses' inspect chain.
+    # pull in the Arens, sequence-model or replay layers, or dataclasses'
+    # inspect chain, and stay within their compile budget.
     report = tmp_path / "report.json"
     report.write_bytes(run("check-dp", fixture("t_diag.json"), "--json").stdout)
     argvs = [
@@ -113,8 +139,13 @@ def test_tensor_commands_import_only_what_they_run(tmp_path):
         ["factorize", str(fixture("t_single.json"))],
         ["replay", str(report), str(fixture("t_diag.json"))],
     ]
-    heavy = ["rieszkit.arens", "rieszkit.seqmodel", "dataclasses"]
-    assert loaded_after(argvs, heavy) == {"codes": [1, 0, 0, 0, 0], "loaded": []}
+    heavy = ["rieszkit.arens", "rieszkit.seqmodel", "rieszkit.replay", "dataclasses"]
+    got = loaded_after(argvs, heavy)
+    assert got["codes"] == [1, 0, 0, 0, 0]
+    # the replay of a check-dp report adds its own module, and nothing else
+    assert got["loaded"] == [[], [], [], [], ["rieszkit.replay"]]
+    *tensor, replay = got["nodes"]
+    assert max(tensor) <= TENSOR_BUDGET and replay <= REPLAY_BUDGET, got["nodes"]
 
 
 def test_seq_demo_does_not_import_arens(tmp_path):
@@ -126,12 +157,14 @@ def test_seq_demo_does_not_import_arens(tmp_path):
         ["seq-demo", "--weight-file", str(fixture("d_decay.json"))],
         ["replay", str(report)],
     ]
-    assert loaded_after(argvs, ["rieszkit.arens"]) == {"codes": [0, 0, 0], "loaded": []}
+    got = loaded_after(argvs, ["rieszkit.arens"])
+    assert got["codes"] == [0, 0, 0] and got["loaded"] == [[], [], []]
 
 
 def test_arens_does_not_import_sampling_or_seqmodel(tmp_path):
     # the package ships no sampling module (the seeded generators are test
-    # helpers), and arens runs no part of the sequence model
+    # helpers), arens runs no part of the sequence model, and only replay
+    # loads the replay module
     report = tmp_path / "report.json"
     report.write_bytes(run("arens", fixture("t_m3.json"), "--trace", "--json").stdout)
     argvs = [
@@ -139,9 +172,12 @@ def test_arens_does_not_import_sampling_or_seqmodel(tmp_path):
         ["arens", str(fixture("t_diag.json")), "--perm", "theta", "--trace"],
         ["replay", str(report), str(fixture("t_m3.json"))],
     ]
-    heavy = ["rieszkit.seqmodel"]
+    heavy = ["rieszkit.seqmodel", "rieszkit.replay"]
     code = 0 if loads_spec(fixture("t_m3.json").read_text()).is_dp().is_dp else 1
-    assert loaded_after(argvs, heavy) == {"codes": [code, 1, 0], "loaded": []}
+    got = loaded_after(argvs, heavy)
+    assert got["codes"] == [code, 1, 0]
+    assert got["loaded"] == [[], [], ["rieszkit.replay"]]
+    assert max(got["nodes"][:2]) <= ARENS_BUDGET, got["nodes"]
 
 
 def test_reports_byte_identical():
@@ -238,17 +274,27 @@ def test_arens_perm_selection():
 
 
 @pytest.mark.parametrize(
-    "text, point",
-    [("(1 ٢)", "٢"), ("(+1 2)", "+1"), ("(1 2_0)", "2_0"), ("(1 ２)", "２"), ("(1)(2 0x3)", "0x3")],
-    ids=["arabic-indic", "plus", "underscore", "fullwidth", "hex"],
+    "text, point, reason",
+    [
+        ("(1 ٢)", "٢", "ASCII digits"),
+        ("(+1 2)", "+1", "ASCII digits"),
+        ("(1 2_0)", "2_0", "ASCII digits"),
+        ("(1 ２)", "２", "ASCII digits"),
+        ("(1)(2 0x3)", "0x3", "ASCII digits"),
+        ("(01 2)", "01", "leading zero"),
+        ("(1 002)", "002", "leading zero"),
+    ],
+    ids=["arabic-indic", "plus", "underscore", "fullwidth", "hex", "leading-zero", "leading-zeros"],
 )
-def test_perm_cycle_points_are_ascii_digits(capsys, text, point):
-    # int() read each of these as a point: "(1 ٢)" ran as (1 2) and "(1 2_0)" named slot 20
+def test_perm_cycle_points_are_ascii_digits(capsys, text, point, reason):
+    # int() read each of these as a point: "(1 ٢)" ran as (1 2) and "(1 2_0)"
+    # named slot 20; "(01 2)" ran as (1 2) but the report echoed it as given,
+    # so one permutation had two report digests
     for mode in ([], ["--json"]):
         assert cli.main(["arens", str(fixture("t_m3.json")), "--perm", text] + mode) == 2
         out, err = capsys.readouterr()
-        assert out == "" and repr(point) in err and "internal" not in err
-    with pytest.raises(ValueError, match="ASCII digits"):
+        assert out == "" and repr(point) in err and reason in err and "internal" not in err
+    with pytest.raises(ValueError, match=reason):
         Permutation.from_cycles(text, 3)
 
 
@@ -285,7 +331,7 @@ def test_arens_builds_no_extension_tensor(monkeypatch):
                 patch.setattr(MultiTensor, "is_dp", counted)
                 patch.setattr(MultiTensor, "__init__", counted_init)
                 patch.setattr(MultiTensor, "_derived", classmethod(counted_derived))
-                got, report = cli._report_arens(tensor, "sha256:x", {"perm": "all", "trace": trace})
+                got, report = _report_arens(tensor, "sha256:x", {"perm": "all", "trace": trace})
             assert got == code
             assert built == [], (name, trace, len(built))  # one tensor per permutation shows here
             assert len(calls) == 1 and calls[0] is tensor
@@ -302,7 +348,7 @@ def test_arens_report_matches_reference_on_every_fixture():
         tensor = loads_spec(path.read_text())
         if not isinstance(tensor, MultiTensor):
             continue
-        _, report = cli._report_arens(tensor, "sha256:x", {"perm": "all", "trace": False})
+        _, report = _report_arens(tensor, "sha256:x", {"perm": "all", "trace": False})
         input_dp = tensor.is_dp().is_dp
         for extension in report["detail"]["extensions"]:
             rho = Permutation([i - 1 for i in extension["perm"]])
@@ -391,7 +437,7 @@ def test_modulus_and_rank():
     rank2 = json.loads(run("rank", fixture("t_vector_dp.json"), "--json").stdout)
     assert rank2["detail"]["rank"] == 2
     tensor = loads_spec(fixture("t_vector_dp.json").read_text())
-    assert rank2["cost"]["atoms"] == len(tensor.atom_images())
+    assert rank2["cost"]["atoms"] == len(atom_images(tensor))
 
 
 def test_factorize_paths():

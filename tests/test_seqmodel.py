@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     biadjoint_dp_check,
     dual_basis_dp,
+    is_finitely_supported,
     rank_lower_bound,
     sample_disjoint_pair,
     slotwise_dp_check,
@@ -69,7 +70,7 @@ def test_lattice_worked_examples():
 def test_support_and_roles():
     f = EvConstSeq({2: 1, 5: -3}, 0)
     assert f.support() == [2, 5]
-    assert f.is_finitely_supported()
+    assert is_finitely_supported(f)
     with pytest.raises(ValueError):
         EvConstSeq.constant(1).support()
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import dot
 from rieszkit import FinVector
 from rieszkit.report import vector_from_obj, vector_to_obj
 
@@ -82,7 +83,7 @@ def test_atoms_and_basics():
     assert e0.sup(e2) == FinVector(["1", "0", "1"])
     assert FinVector.ones(2) == FinVector([1, 1])
     assert FinVector.zero(4).is_zero()
-    assert e0.dot(FinVector([5, 7, 9])) == 5
+    assert dot(e0, FinVector([5, 7, 9])) == 5
 
 
 def test_disjoint_iff_disjoint_supports():
