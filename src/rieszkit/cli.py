@@ -9,11 +9,12 @@ when the report cannot be written because stdout is closed or fails.
 Reports are byte-identical across runs for the same input and seed;
 wall-clock time goes to stderr only.
 
-This module holds the parser, the exit-code contract and the report
+This module holds the parser, the exit-code contract, the report
 builders of the four tensor commands that share one code path (check-dp,
-modulus, factorize, rank). Every other builder lives beside the code it
-runs and is imported only by the subcommand that runs it, so a process
-compiles no source it does not execute: ``arens`` in
+modulus, factorize, rank) and :func:`_report`, the one path from a parsed
+command line to its report, which ``replay`` reruns. Every other builder
+lives beside the code it runs and is imported only by the subcommand that
+runs it, so a process compiles no source it does not execute: ``arens`` in
 :mod:`rieszkit.arens`, ``seq-demo`` in :mod:`rieszkit.seqmodel` and
 ``replay`` in :mod:`rieszkit.replay`.
 """
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable
 
 from .fileformat import SpecFileError, decode_utf8, loads_spec, read_bytes, tensor_to_obj
 from .operators import (
@@ -128,21 +128,33 @@ def _report_rank(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dic
     return 0, report
 
 
-def _tensor_report(command: str) -> Callable[[MultiTensor, str, dict], tuple[int, dict]] | None:
-    """Report builder of a tensor command, looked up per call so a test can swap one.
+def _report(args) -> tuple[int, dict, MultiTensor | None]:
+    """Exit code, report and input tensor (if any) of a parsed command line.
 
-    The ``arens`` builder is imported from :mod:`rieszkit.arens` only here.
+    Every command reaches its builder here, ``replay``'s rerun included,
+    and each command's ``detail.args`` is recorded here. Builders are
+    looked up per call, so a test can swap one.
     """
-    if command == "arens":
+    if args.command == "seq-demo":
+        from .seqmodel import _report_seq_demo, _seq_demo_inputs
+
+        return (*_report_seq_demo(*_seq_demo_inputs(args)), None)
+    if args.command == "replay":
+        from .replay import _run_replay
+
+        return (*_run_replay(args), None)
+    tensor, digest = _load_tensor(args.file)
+    if args.command == "arens":
         from .arens import _report_arens
 
-        return _report_arens
-    return {
+        return (*_report_arens(tensor, digest, {"perm": args.perm, "trace": args.trace}), tensor)
+    builder = {
         "check-dp": _report_check_dp,
         "modulus": _report_modulus,
         "factorize": _report_factorize,
         "rank": _report_rank,
-    }.get(command)
+    }[args.command]  # argparse admits only the tensor commands besides
+    return (*builder(tensor, digest, {}), tensor)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,19 +224,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        if args.command == "seq-demo":
-            from .seqmodel import _report_seq_demo, _seq_demo_inputs
-
-            weight, digest, demo_args = _seq_demo_inputs(args)
-            code, report = _report_seq_demo(weight, digest, demo_args)
-        elif args.command == "replay":
-            from .replay import _run_replay
-
-            code, report = _run_replay(args)
-        else:  # argparse admits only the tensor commands besides
-            tensor, digest = _load_tensor(args.file)
-            command_args = {"perm": args.perm, "trace": args.trace} if args.command == "arens" else {}
-            code, report = _tensor_report(args.command)(tensor, digest, command_args)
+        code, report, _ = _report(args)
         _write_stdout(report_json(report) if args.json else render_human(report))
     except (SpecFileError, ShapeError) as exc:
         _note(f"error: {exc}")

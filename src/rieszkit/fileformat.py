@@ -77,7 +77,7 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> 
 
 def _check_version(obj: dict) -> None:
     version = obj.get("format", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:  # true and 1.0 equal 1 too
         raise SpecFileError(f"unsupported format version {version!r}")
 
 

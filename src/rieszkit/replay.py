@@ -1,45 +1,56 @@
 """The ``replay`` subcommand: re-verify a stored report.
 
-A stored report is decoded, its command, input digest and args are
-type-checked, and the report is rebuilt by the same builder the command
-ran: the tensor builders of :mod:`rieszkit.cli`, the Arens builder of
-:mod:`rieszkit.arens` (loaded only for a stored ``arens`` report) or the
-seq-demo builder of :mod:`rieszkit.seqmodel` (loaded only for a stored
-``seq-demo`` report). The rebuilt report must match the stored one as
-canonical bytes, and a stored DP witness must still re-verify against the
-spec. Only ``replay`` loads this module.
+A stored report is decoded and its command and recorded options
+(``detail.args``) are type-checked. That command line is rerun on the
+given input file through :func:`rieszkit.cli._report`, the path every
+command takes, so every field is recomputed, the input digest and
+``detail.args`` included. The input must have the stored digest (exit 2
+otherwise), the rebuilt report must match the stored one as canonical
+bytes, and a stored witness must re-verify against the input tensor.
+Only ``replay`` loads this module.
 """
 
 from __future__ import annotations
 
+import argparse
+
 from . import cli
-from .fileformat import SpecFileError, decode_json, decode_utf8, parse_seq, read_bytes
+from .fileformat import SpecFileError, decode_json, decode_utf8, read_bytes
 from .operators import MultiTensor
 from .rational import DigitLimitError
 from .report import build_report, check, report_json, witness_from_obj
 
 
-def _stored_fields(stored) -> tuple[str, str, dict]:
-    """Command, input digest and args of a stored report, type-checked.
+# The commands a report can come from and the options each records in
+# detail.args, with their exact JSON types (bool is an int subclass).
+_RECORDED_OPTIONS = {
+    "check-dp": {},
+    "modulus": {},
+    "factorize": {},
+    "rank": {},
+    "arens": {"perm": str, "trace": bool},
+    "seq-demo": {"seed": int},
+}
 
-    The args are checked for exactly the fields a rebuild reads, so a
-    malformed report is an input error rather than a crash.
+
+def _stored_command(stored) -> tuple[str, dict]:
+    """Command and recorded options of a stored report, type-checked.
+
+    Only the options a rerun reads are taken; every other field is
+    recomputed, so a malformed report is an input error rather than a crash.
     """
-    if not isinstance(stored, dict) or not isinstance(stored.get("command"), str):
-        raise SpecFileError("not a report file")
-    command = stored["command"]
-    digest = stored.get("input_digest")
-    if not isinstance(digest, str):
-        raise SpecFileError("report has no input_digest string")
+    command = stored.get("command") if isinstance(stored, dict) else None
+    if not isinstance(command, str) or command not in _RECORDED_OPTIONS:
+        raise SpecFileError(f"not a report of a command that replays: {command!r}")
     detail = stored.get("detail", {})
     stored_args = detail.get("args", {}) if isinstance(detail, dict) else None
     if not isinstance(stored_args, dict):
         raise SpecFileError("report detail.args must be a JSON object")
-    required = {"arens": {"perm": str, "trace": bool}, "seq-demo": {"seed": int}}
-    for key, kind in required.get(command, {}).items():
-        if type(stored_args.get(key)) is not kind:  # exact: bool is an int subclass
+    options = _RECORDED_OPTIONS[command]
+    for key, kind in options.items():
+        if type(stored_args.get(key)) is not kind:
             raise SpecFileError(f"report detail.args.{key} must be a {kind.__name__}")
-    return command, digest, stored_args
+    return command, {key: stored_args[key] for key in options}
 
 
 def _stored_witness_verifies(obj, tensor: MultiTensor) -> bool:
@@ -65,32 +76,21 @@ def _stored_witness_verifies(obj, tensor: MultiTensor) -> bool:
 
 def _run_replay(args) -> tuple[int, dict]:
     stored = decode_json(decode_utf8(read_bytes(args.report), "report file"), "report JSON")
-    command, stored_digest, stored_args = _stored_fields(stored)
-
-    if command == "seq-demo":
-        from .seqmodel import _report_seq_demo
-
-        weight = parse_seq(stored_args.get("weight", {"tail": "1"}), "weight")
-        _, rebuilt = _report_seq_demo(weight, stored_digest, stored_args)
-    else:
-        if not args.spec:
-            raise SpecFileError(f"replaying {command!r} needs the original spec file")
-        spec, digest = cli._load_tensor(args.spec)
-        if digest != stored_digest:
-            raise SpecFileError("spec file does not match the report's input digest")
-        builder = cli._tensor_report(command)
-        if builder is None:
-            raise SpecFileError(f"unknown command in report: {command!r}")
-        _, rebuilt = builder(spec, digest, stored_args)
+    command, options = _stored_command(stored)
+    if args.spec is None and command != "seq-demo":
+        raise SpecFileError(f"replaying {command!r} needs the original spec file")
+    rerun = argparse.Namespace(command=command, file=args.spec, weight_file=args.spec, **options)
+    _, rebuilt, tensor = cli._report(rerun)
+    if rebuilt["input_digest"] != stored.get("input_digest"):
+        raise SpecFileError("the input does not match the report's input_digest")
 
     # Compared as canonical bytes: parsed JSON has true == 1 == 1.0.
     checks = [check("report-reproduced", report_json(rebuilt) == report_json(stored))]
-    if "witness" in stored and command in ("check-dp", "arens", "factorize"):
-        witness_ok = _stored_witness_verifies(stored["witness"], spec)
-        checks.append(check("witness-verifies", witness_ok))
+    if "witness" in stored and tensor is not None:
+        checks.append(check("witness-verifies", _stored_witness_verifies(stored["witness"], tensor)))
     report = build_report(
         "replay",
-        stored_digest,
+        rebuilt["input_digest"],
         checks,
         detail={"args": {"command": command}},
     )

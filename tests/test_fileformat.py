@@ -73,6 +73,9 @@ def test_tensor_without_kind_is_recognized():
         '{"kind": "mystery"}',
         '{"weight": {"tail": "1"}}',  # no kind, no m
         '{"format": 2, "m": 1, "domain_dims": [2], "codomain_dim": 1, "entries": []}',
+        '{"format": true, "m": 1, "domain_dims": [2], "codomain_dim": 1, "entries": []}',
+        '{"format": 1.0, "m": 1, "domain_dims": [2], "codomain_dim": 1, "entries": []}',
+        '{"format": true, "kind": "diag-bilinear", "weight": {"tail": "1"}}',
         '{"m": 2, "domain_dims": [2], "codomain_dim": 1, "entries": []}',
         '{"m": 1, "domain_dims": [2], "codomain_dim": 1, "entries": [], "extra": 1}',
         '{"m": 1, "domain_dims": [2], "codomain_dim": 1, "entries": [{"out": 0, "idx": [1], "value": "1"}]}',

@@ -146,7 +146,7 @@ def test_mutants_keep_the_exit_code_contract(tmp_path, capsys, name):
         code, report = holds_contract(capsys, argv, FIXTURES / name)
         if code == 2:
             continue
-        replay = ["replay", str(stored)] + ([] if argv[0] == "seq-demo" else [str(FIXTURES / name)])
+        replay = ["replay", str(stored), str(FIXTURES / name)]
         for _ in range(MUTANTS):
             stored.write_bytes(mutate(rng, report.encode()))
             holds_contract(capsys, replay)
