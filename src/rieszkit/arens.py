@@ -41,6 +41,7 @@ replay of a stored ``arens`` report.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
@@ -62,7 +63,7 @@ class Permutation:
     __slots__ = ("_images",)
 
     def __init__(self, images: Sequence[int]) -> None:
-        imgs = tuple(int(i) for i in images)
+        imgs = tuple(map(operator.index, images))
         m = len(imgs)
         if sorted(imgs) != list(range(m)) or m == 0:
             raise ValueError(f"not a permutation of 0..{m - 1}: {imgs}")

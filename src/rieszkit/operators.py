@@ -21,6 +21,7 @@ chain and the sequence model run it.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -129,13 +130,13 @@ class MultiTensor:
         codomain_dim: int,
         entries: Mapping[tuple[int, tuple[int, ...]], object],
     ) -> None:
-        dims = tuple(int(d) for d in domain_dims)
-        check_shape(dims, codomain_dim)
+        dims = tuple(map(operator.index, domain_dims))
+        self._cod = operator.index(codomain_dim)
+        check_shape(dims, self._cod)
         self._dims = dims
-        self._cod = int(codomain_dim)
         clean: dict[tuple[int, tuple[int, ...]], Fraction] = {}
         for (k, idx), raw in entries.items():
-            idx = tuple(int(i) for i in idx)
+            k, idx = operator.index(k), tuple(map(operator.index, idx))
             if not 0 <= k < self._cod:
                 raise ShapeError(f"output coordinate {k} out of range 0..{self._cod - 1}")
             if len(idx) != len(dims) or any(
@@ -144,7 +145,7 @@ class MultiTensor:
                 raise ShapeError(f"index tuple {idx} out of range for dims {dims}")
             value = as_fraction(raw)
             if value != 0:
-                clean[(int(k), idx)] = value
+                clean[(k, idx)] = value
         self._entries = clean
 
     @classmethod

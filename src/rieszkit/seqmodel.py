@@ -1,7 +1,8 @@
 """Eventually constant sequences: a desk-scale model of c0, l1 and linf.
 
 An :class:`EvConstSeq` is a rational sequence with finitely many
-exceptional values and a constant tail. One type carries three roles:
+exceptional values and a constant tail, a coordinatewise lattice like
+:class:`rieszkit.vectors.FinVector`. One type carries three roles:
 
 * tail 0            -> an element of c0,
 * tail 0, read as a functional -> a finitely supported element of l1 = c0*,
@@ -38,6 +39,7 @@ reading a sequence spec load this module.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
@@ -58,6 +60,7 @@ from .fileformat import (
 from .operators import ShapeError, _contract_entries
 from .rational import as_fraction, format_rational
 from .report import build_report, check, input_digest
+from .vectors import CoordinatewiseLattice
 
 _ZERO = Fraction(0)
 
@@ -67,12 +70,13 @@ RANK_CERTIFICATE = 32
 _ORDERS = ((0, 1), (1, 0))
 
 
-class EvConstSeq:
+class EvConstSeq(CoordinatewiseLattice):
     """Rational sequence, 1-indexed, constant after finitely many exceptions.
 
     Canonical form: no stored exception equals the tail, so structural
     equality is pointwise equality. All operations return canonical
-    sequences.
+    sequences. The tail is the coordinate of every index past the
+    exceptions, so ``_values`` lists it with them.
     """
 
     __slots__ = ("_exc", "_tail")
@@ -81,7 +85,7 @@ class EvConstSeq:
         t = as_fraction(tail)
         clean: dict[int, Fraction] = {}
         for key, raw in (exceptions or {}).items():
-            k = int(key)
+            k = operator.index(key)
             if k < 1:
                 raise ValueError(f"sequence indices are 1-based, got {key}")
             value = as_fraction(raw)
@@ -127,68 +131,20 @@ class EvConstSeq:
             raise ValueError("cofinite support; only tail-0 sequences have one")
         return sorted(self._exc)
 
-    def is_zero(self) -> bool:
-        return self._tail == 0 and not self._exc
-
-    def is_positive(self) -> bool:
-        return self._tail >= 0 and all(v >= 0 for v in self._exc.values())
+    def _map(self, fn: Callable[[Fraction], Fraction]) -> "EvConstSeq":
+        return EvConstSeq({k: fn(v) for k, v in self._exc.items()}, fn(self._tail))
 
     def _combine(self, other: "EvConstSeq", fn: Callable[[Fraction, Fraction], Fraction]) -> "EvConstSeq":
         keys = set(self._exc) | set(other._exc)
         exc = {k: fn(self.value_at(k), other.value_at(k)) for k in keys}
         return EvConstSeq(exc, fn(self._tail, other._tail))
 
-    def __add__(self, other: "EvConstSeq") -> "EvConstSeq":
-        return self._combine(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "EvConstSeq") -> "EvConstSeq":
-        return self._combine(other, lambda a, b: a - b)
-
-    def __neg__(self) -> "EvConstSeq":
-        return EvConstSeq({k: -v for k, v in self._exc.items()}, -self._tail)
-
-    def scale(self, s: object) -> "EvConstSeq":
-        c = as_fraction(s)
-        return EvConstSeq({k: c * v for k, v in self._exc.items()}, c * self._tail)
-
-    def __mul__(self, s: object) -> "EvConstSeq":
-        return self.scale(s)
-
-    __rmul__ = __mul__
+    def _values(self) -> list[Fraction]:
+        return [*self._exc.values(), self._tail]
 
     def pointwise_mul(self, other: "EvConstSeq") -> "EvConstSeq":
         """Coordinatewise product; tails multiply. The model is closed under it."""
-        return self._combine(other, lambda a, b: a * b)
-
-    def sup(self, other: "EvConstSeq") -> "EvConstSeq":
-        return self._combine(other, max)
-
-    def inf(self, other: "EvConstSeq") -> "EvConstSeq":
-        return self._combine(other, min)
-
-    def __abs__(self) -> "EvConstSeq":
-        return EvConstSeq({k: abs(v) for k, v in self._exc.items()}, abs(self._tail))
-
-    def pos(self) -> "EvConstSeq":
-        return self.sup(EvConstSeq.zero())
-
-    def neg(self) -> "EvConstSeq":
-        return (-self).sup(EvConstSeq.zero())
-
-    def leq(self, other: "EvConstSeq") -> bool:
-        if self._tail > other._tail:
-            return False
-        keys = set(self._exc) | set(other._exc)
-        return all(self.value_at(k) <= other.value_at(k) for k in keys)
-
-    def __le__(self, other: "EvConstSeq") -> bool:
-        return self.leq(other)
-
-    def __ge__(self, other: "EvConstSeq") -> bool:
-        return other.leq(self)
-
-    def is_disjoint(self, other: "EvConstSeq") -> bool:
-        return abs(self).inf(abs(other)).is_zero()
+        return self._combine(other, operator.mul)
 
     def _key(self) -> tuple:
         return (tuple(sorted(self._exc.items())), self._tail)
@@ -331,17 +287,18 @@ class WeightedCompOp:
         table: Mapping[int, int] | None = None,
         shift: int = 0,
     ) -> None:
+        shift = operator.index(shift)
         if shift < 0:
             raise ValueError(f"shift must be >= 0, got {shift}")
         clean: dict[int, int] = {}
         for key, target in (table or {}).items():
-            k, j = int(key), int(target)
+            k, j = operator.index(key), operator.index(target)
             if k < 1 or j < 1:
                 raise ValueError(f"table entries are 1-based, got {key} -> {target}")
             clean[k] = j
         self._weight = weight
         self._table = clean
-        self._shift = int(shift)
+        self._shift = shift
 
     @property
     def weight(self) -> EvConstSeq:
@@ -533,10 +490,10 @@ def _seq_demo_inputs(args) -> tuple[EvConstSeq, str, dict]:
     if args.weight_file:
         data = read_bytes(args.weight_file)
         obj = decode_json(decode_utf8(data, "weight file"))
-        if isinstance(obj, dict) and obj.get("kind") == "diag-bilinear":
-            weight = parse_diag(obj).weight
-        else:
-            weight = parse_seq(obj, "weight")
+        kind = obj.get("kind", "tensor" if "m" in obj else None) if isinstance(obj, dict) else None
+        if kind not in (None, "diag-bilinear"):
+            raise SpecFileError(f"--weight-file takes a sequence or a diag-bilinear spec, not {kind!r}")
+        weight = parse_seq(obj, "weight") if kind is None else parse_diag(obj).weight
         digest = input_digest(data)
     else:
         weight = EvConstSeq.constant(1)

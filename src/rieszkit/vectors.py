@@ -1,26 +1,99 @@
-"""Finite-dimensional coordinatewise vector lattices over the rationals.
+"""Coordinatewise vector lattices over the rationals.
 
-A :class:`FinVector` is an immutable element of Q^n ordered coordinate by
-coordinate. Suprema, infima, absolute values and the positive/negative
-part decomposition are all computed coordinatewise and exactly.
+:class:`CoordinatewiseLattice` computes the linear and lattice operations
+of a space ordered coordinate by coordinate, exactly, from three
+primitives a subclass supplies. :class:`FinVector` (Q^n, below) and
+:class:`rieszkit.seqmodel.EvConstSeq` (eventually constant sequences)
+inherit it.
 
 Because the order dual of Q^n under this order is again Q^n (a functional
-is its coefficient vector, evaluation is the dot product), the same type
+is its coefficient vector, evaluation is the dot product), FinVector
 serves as vector, functional and bidual element. The embedding of a space
 into its bidual is the identity on coordinates, so it needs no code.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .rational import as_fraction, format_rational
 
 _ZERO = Fraction(0)
 
 
-class FinVector:
+class CoordinatewiseLattice:
+    """Sums, scaling, sup, inf, modulus, parts, order and disjointness.
+
+    A subclass supplies ``_map(fn)``, the element with ``fn`` applied to
+    every coordinate; ``_combine(other, fn)``, with ``fn`` applied to each
+    pair of matching coordinates, raising :class:`ValueError` when the
+    spaces differ; and ``_values()``, every value the element takes.
+    """
+
+    __slots__ = ()
+
+    # -- linear structure ------------------------------------------------
+
+    def __add__(self, other: "CoordinatewiseLattice") -> "CoordinatewiseLattice":
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other: "CoordinatewiseLattice") -> "CoordinatewiseLattice":
+        return self._combine(other, operator.sub)
+
+    def __neg__(self) -> "CoordinatewiseLattice":
+        return self._map(operator.neg)
+
+    def scale(self, scalar) -> "CoordinatewiseLattice":
+        return self._map(as_fraction(scalar).__mul__)
+
+    __mul__ = __rmul__ = scale
+
+    # -- lattice structure -----------------------------------------------
+
+    def sup(self, other: "CoordinatewiseLattice") -> "CoordinatewiseLattice":
+        return self._combine(other, max)
+
+    def inf(self, other: "CoordinatewiseLattice") -> "CoordinatewiseLattice":
+        return self._combine(other, min)
+
+    def __abs__(self) -> "CoordinatewiseLattice":
+        return self._map(abs)
+
+    def pos(self) -> "CoordinatewiseLattice":
+        """Positive part x+ = sup(x, 0), with 0 = 0 * x in x's own space."""
+        return self.sup(0 * self)
+
+    def neg(self) -> "CoordinatewiseLattice":
+        """Negative part x- = (-x)+, so x = pos() - neg()."""
+        return (-self).pos()
+
+    def leq(self, other: "CoordinatewiseLattice") -> bool:
+        """Coordinatewise partial order: x <= y exactly when sup(x, y) = y."""
+        return self.sup(other) == other
+
+    __le__ = leq
+
+    def __ge__(self, other: "CoordinatewiseLattice") -> bool:
+        return other.leq(self)
+
+    def is_positive(self) -> bool:
+        return min(self._values()) >= 0
+
+    def is_zero(self) -> bool:
+        return not any(self._values())
+
+    def is_disjoint(self, other: "CoordinatewiseLattice") -> bool:
+        """x and y are disjoint when inf(|x|, |y|) = 0.
+
+        Coordinatewise that means no coordinate carries a nonzero value in
+        both, i.e. the supports do not meet.
+        """
+        return abs(self).inf(abs(other)).is_zero()
+
+
+class FinVector(CoordinatewiseLattice):
     """Immutable vector in Q^n with coordinatewise lattice structure.
 
     >>> x = FinVector([1, -2, 0])
@@ -44,6 +117,7 @@ class FinVector:
     @classmethod
     def atom(cls, dim: int, index: int) -> "FinVector":
         """Standard unit vector e_index (0-based)."""
+        index = operator.index(index)
         if not 0 <= index < dim:
             raise IndexError(f"atom index {index} out of range for dim {dim}")
         return cls([Fraction(1) if i == index else _ZERO for i in range(dim)])
@@ -77,78 +151,16 @@ class FinVector:
     def __repr__(self) -> str:
         return "FinVector([%s])" % ", ".join(format_rational(c) for c in self)
 
-    def _check_dim(self, other: "FinVector") -> None:
+    def _map(self, fn: Callable[[Fraction], Fraction]) -> "FinVector":
+        return FinVector(map(fn, self._coords))
+
+    def _combine(self, other: "FinVector", fn: Callable[[Fraction, Fraction], Fraction]) -> "FinVector":
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return FinVector(map(fn, self._coords, other._coords))
 
-    # -- linear structure ------------------------------------------------
-
-    def __add__(self, other: "FinVector") -> "FinVector":
-        self._check_dim(other)
-        return FinVector(a + b for a, b in zip(self, other))
-
-    def __sub__(self, other: "FinVector") -> "FinVector":
-        self._check_dim(other)
-        return FinVector(a - b for a, b in zip(self, other))
-
-    def __neg__(self) -> "FinVector":
-        return FinVector(-a for a in self)
-
-    def scale(self, scalar) -> "FinVector":
-        s = as_fraction(scalar)
-        return FinVector(s * a for a in self)
-
-    def __mul__(self, scalar) -> "FinVector":
-        return self.scale(scalar)
-
-    __rmul__ = __mul__
-
-    # -- lattice structure -----------------------------------------------
-
-    def sup(self, other: "FinVector") -> "FinVector":
-        self._check_dim(other)
-        return FinVector(max(a, b) for a, b in zip(self, other))
-
-    def inf(self, other: "FinVector") -> "FinVector":
-        self._check_dim(other)
-        return FinVector(min(a, b) for a, b in zip(self, other))
-
-    def __abs__(self) -> "FinVector":
-        return FinVector(abs(a) for a in self)
-
-    def pos(self) -> "FinVector":
-        """Positive part x+ = sup(x, 0)."""
-        return FinVector(a if a > 0 else _ZERO for a in self)
-
-    def neg(self) -> "FinVector":
-        """Negative part x- = sup(-x, 0), so x = pos() - neg()."""
-        return FinVector(-a if a < 0 else _ZERO for a in self)
-
-    def leq(self, other: "FinVector") -> bool:
-        """Coordinatewise partial order."""
-        self._check_dim(other)
-        return all(a <= b for a, b in zip(self, other))
-
-    def __le__(self, other: "FinVector") -> bool:
-        return self.leq(other)
-
-    def __ge__(self, other: "FinVector") -> bool:
-        return other.leq(self)
-
-    def is_positive(self) -> bool:
-        return all(a >= 0 for a in self)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self)
-
-    def is_disjoint(self, other: "FinVector") -> bool:
-        """x and y are disjoint when inf(|x|, |y|) = 0.
-
-        Coordinatewise that means no index carries a nonzero value in both
-        vectors, i.e. the supports do not meet.
-        """
-        self._check_dim(other)
-        return all(a == 0 or b == 0 for a, b in zip(self, other))
+    def _values(self) -> tuple[Fraction, ...]:
+        return self._coords
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self) if a != 0)

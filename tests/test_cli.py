@@ -124,6 +124,7 @@ def loaded_after(argvs, modules):
 TENSOR_BUDGET = 8_800
 REPLAY_BUDGET = 9_400
 ARENS_BUDGET = 10_600
+SEQ_DEMO_BUDGET = 11_500
 
 
 def test_tensor_commands_import_only_what_they_run(tmp_path):
@@ -160,6 +161,8 @@ def test_seq_demo_does_not_import_arens(tmp_path):
     ]
     got = loaded_after(argvs, ["rieszkit.arens"])
     assert got["codes"] == [0, 0, 0] and got["loaded"] == [[], [], []]
+    # the replay adds rieszkit.replay on top of what the two seq-demo runs loaded
+    assert max(got["nodes"][:2]) <= SEQ_DEMO_BUDGET, got["nodes"]
 
 
 def test_arens_does_not_import_sampling_or_seqmodel(tmp_path):
@@ -564,6 +567,16 @@ def test_zero_padded_index_key_does_not_collapse(tmp_path, capsys, keys):
         assert cli.main(["seq-demo", "--weight-file", str(path)] + mode) == 2
         out, err = capsys.readouterr()
         assert out == "" and "'01'" in err and "leading zero" in err
+
+
+@pytest.mark.parametrize("name, kind", [("c_weighted", "weighted-comp"), ("t_m3", "tensor")])
+def test_weight_file_of_another_kind_is_named(capsys, name, kind):
+    # the spec was read as a sequence, so the error listed its keys as unknown weight keys
+    for mode in ([], ["--json"]):
+        assert cli.main(["seq-demo", "--weight-file", str(fixture(f"{name}.json"))] + mode) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --weight-file takes a sequence or a diag-bilinear spec, not {kind!r}\n"
 
 
 def test_zero_padded_witness_slot_is_an_input_error(tmp_path, capsys):

@@ -67,6 +67,14 @@ def test_lattice_worked_examples():
     assert ONES.inf(ONES) == ONES
 
 
+def test_tail_decides():
+    # each sequence below has no exception that decides it, so only the tail can
+    assert not EvConstSeq.constant(-1).is_positive()
+    assert not EvConstSeq.constant(3).is_zero()
+    assert not EvConstSeq({1: 1}, -1).leq(EvConstSeq.zero())
+    assert EvConstSeq.constant(-2).neg() == EvConstSeq.constant(2)
+
+
 def test_support_and_roles():
     f = EvConstSeq({2: 1, 5: -3}, 0)
     assert f.support() == [2, 5]

@@ -1,4 +1,5 @@
-"""Lattice laws for coordinatewise rational vectors."""
+"""Lattice laws for coordinatewise rational vectors, and the indices the
+library constructors accept."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import dot
-from rieszkit import FinVector
+from rieszkit import EvConstSeq, FinVector, MultiTensor, Permutation, WeightedCompOp
 from rieszkit.report import vector_from_obj, vector_to_obj
 
 rationals = st.fractions(max_denominator=8)
@@ -105,10 +106,57 @@ def test_order_and_comparison():
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        FinVector([1]).sup(FinVector([1, 2]))
-    with pytest.raises(ValueError):
-        FinVector([1]) + FinVector([1, 2])
+    ops = [
+        FinVector.sup,
+        FinVector.inf,
+        FinVector.__add__,
+        FinVector.__sub__,
+        FinVector.leq,
+        FinVector.__le__,
+        FinVector.__ge__,
+        FinVector.is_disjoint,
+    ]
+    for op in ops:
+        for x, y in [(FinVector([1]), FinVector([1, 2])), (FinVector([1, 2]), FinVector([1]))]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                op(x, y)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultiTensor((2,), 1.9, {(0, (1,)): 1}),
+        lambda: MultiTensor((2,), 1, {(0.7, (1,)): 1}),
+        lambda: MultiTensor((2,), 1, {(0, (1.5,)): 1}),
+        lambda: MultiTensor((2.0,), 1, {}),
+        lambda: EvConstSeq({2.9: 1}),
+        lambda: EvConstSeq({"2": 1}),
+        lambda: WeightedCompOp(EvConstSeq.constant(1), {1.5: 2}),
+        lambda: WeightedCompOp(EvConstSeq.constant(1), {1: 2.5}),
+        lambda: WeightedCompOp(EvConstSeq.constant(1), shift=1.7),
+        lambda: Permutation([1.0, 0.0]),
+        lambda: Permutation(["1", "0"]),
+        lambda: FinVector.atom(2, 0.5),
+    ],
+    ids=[
+        "tensor-codomain",
+        "tensor-output",
+        "tensor-index",
+        "tensor-dims",
+        "seq-float-index",
+        "seq-string-index",
+        "comp-table-key",
+        "comp-table-target",
+        "comp-shift",
+        "perm-float",
+        "perm-string",
+        "atom-float",
+    ],
+)
+def test_constructors_reject_non_integral_indices(build):
+    # int() used to truncate 1.9 to 1 and read "2" as 2
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_string_round_trip():
