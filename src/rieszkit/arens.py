@@ -287,7 +287,7 @@ def _marginal_obj(dims: tuple[int, ...], mask: int, entries: _Form) -> dict:
     }
 
 
-def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dict]:
+def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> dict:
     """The ``arens`` report: the extension and its DP verdict per permutation.
 
     ``args`` holds the ``perm`` choice and the ``trace`` flag, as the
@@ -315,7 +315,7 @@ def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, di
             }
             for k, memo in trace_marginals(tensor.slices(), perms).items()
         }
-    report = build_report(
+    return build_report(
         "arens",
         digest,
         [check("input-dp", verdict.is_dp)],
@@ -327,4 +327,3 @@ def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, di
         },
         detail=detail,
     )
-    return (0 if verdict.is_dp else 1), report

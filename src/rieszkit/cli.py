@@ -2,12 +2,12 @@
 
 Subcommands ingest operator spec files, run the corresponding checks and
 print a report, human-readable by default or compact canonical JSON with
---json. Exit codes: 0 when the checked property holds, 1 when it fails
-(the report then carries a witness), 2 on input errors, 3 on an
-unexpected internal error (one ``error:`` line on stderr, no report), 4
-when the report cannot be written because stdout is closed or fails.
-Reports are byte-identical across runs for the same input and seed;
-wall-clock time goes to stderr only.
+--json. Exit codes: 0 when the report's ``ok`` holds, 1 when it does not
+(the checked property fails, and the report then carries a witness), 2
+on input errors, 3 on an unexpected internal error (one ``error:`` line
+on stderr, no report), 4 when the report cannot be written because
+stdout is closed or fails. Reports are byte-identical across runs for
+the same input and seed; wall-clock time goes to stderr only.
 
 This module holds the parser, the exit-code contract, the report
 builders of the four tensor commands that share one code path (check-dp,
@@ -16,7 +16,8 @@ command line to its report, which ``replay`` reruns. Every other builder
 lives beside the code it runs and is imported only by the subcommand that
 runs it, so a process compiles no source it does not execute: ``arens`` in
 :mod:`rieszkit.arens`, ``seq-demo`` in :mod:`rieszkit.seqmodel` and
-``replay`` in :mod:`rieszkit.replay`.
+``replay`` in :mod:`rieszkit.replay`. Every builder returns just its
+report, and :func:`main` alone turns its ``ok`` into exit code 0 or 1.
 """
 
 from __future__ import annotations
@@ -53,46 +54,40 @@ def _load_tensor(path: str) -> tuple[MultiTensor, str]:
     return spec, input_digest(data)
 
 
-def _report_check_dp(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dict]:
+def _report_check_dp(tensor: MultiTensor, digest: str, args: dict) -> dict:
     verdict = tensor.is_dp()
-    checks = [check("disjointness-preserving", verdict.is_dp)]
     witness = None if verdict.witness is None else witness_to_obj(verdict.witness)
-    detail = {"certificate": certificate_to_obj(verdict)}
-    report = build_report(
+    return build_report(
         "check-dp",
         digest,
-        checks,
+        [check("disjointness-preserving", verdict.is_dp)],
         witness=witness,
         cost={"entries": tensor.nnz(), "slices": tensor.codomain_dim},
-        detail={**detail, "args": args},
+        detail={"certificate": certificate_to_obj(verdict), "args": args},
     )
-    return (0 if verdict.is_dp else 1), report
 
 
-def _report_modulus(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dict]:
-    report = build_report(
+def _report_modulus(tensor: MultiTensor, digest: str, args: dict) -> dict:
+    return build_report(
         "modulus",
         digest,
         [check("modulus-computed", True, entries=tensor.nnz())],
         cost={"entries": tensor.nnz()},
         detail={"modulus": tensor_to_obj(tensor.modulus()), "args": args},
     )
-    return 0, report
 
 
-def _report_factorize(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dict]:
+def _report_factorize(tensor: MultiTensor, digest: str, args: dict) -> dict:
     try:
         factorization = factorize_multimorphism(tensor)
     except NotDisjointnessPreserving as exc:
-        verdict = exc.verdict
-        report = build_report(
+        return build_report(
             "factorize",
             digest,
             [check("disjointness-preserving", False)],
-            witness=witness_to_obj(verdict.witness),
+            witness=witness_to_obj(exc.verdict.witness),
             detail={"args": args},
         )
-        return 1, report
     if factorization.is_zero:
         detail = {"zero": True, "args": args}
     else:
@@ -102,19 +97,18 @@ def _report_factorize(tensor: MultiTensor, digest: str, args: dict) -> tuple[int
             "coords": [c + 1 for c in factorization.coords],
             "args": args,
         }
-    report = build_report(
+    return build_report(
         "factorize",
         digest,
         [check("disjointness-preserving", True), check("factorized", True)],
         cost={"entries": tensor.nnz()},
         detail=detail,
     )
-    return 0, report
 
 
-def _report_rank(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dict]:
+def _report_rank(tensor: MultiTensor, digest: str, args: dict) -> dict:
     basis = tensor.range_sublattice_basis()
-    report = build_report(
+    return build_report(
         "rank",
         digest,
         [check("rank-computed", True, rank=len(basis))],
@@ -125,11 +119,10 @@ def _report_rank(tensor: MultiTensor, digest: str, args: dict) -> tuple[int, dic
             "args": args,
         },
     )
-    return 0, report
 
 
-def _report(args) -> tuple[int, dict, MultiTensor | None]:
-    """Exit code, report and input tensor (if any) of a parsed command line.
+def _report(args) -> dict:
+    """The report of a parsed command line.
 
     Every command reaches its builder here, ``replay``'s rerun included,
     and each command's ``detail.args`` is recorded here. Builders are
@@ -138,23 +131,23 @@ def _report(args) -> tuple[int, dict, MultiTensor | None]:
     if args.command == "seq-demo":
         from .seqmodel import _report_seq_demo, _seq_demo_inputs
 
-        return (*_report_seq_demo(*_seq_demo_inputs(args)), None)
+        return _report_seq_demo(*_seq_demo_inputs(args))
     if args.command == "replay":
         from .replay import _run_replay
 
-        return (*_run_replay(args), None)
+        return _run_replay(args)
     tensor, digest = _load_tensor(args.file)
     if args.command == "arens":
         from .arens import _report_arens
 
-        return (*_report_arens(tensor, digest, {"perm": args.perm, "trace": args.trace}), tensor)
+        return _report_arens(tensor, digest, {"perm": args.perm, "trace": args.trace})
     builder = {
         "check-dp": _report_check_dp,
         "modulus": _report_modulus,
         "factorize": _report_factorize,
         "rank": _report_rank,
     }[args.command]  # argparse admits only the tensor commands besides
-    return (*builder(tensor, digest, {}), tensor)
+    return builder(tensor, digest, {})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        code, report, _ = _report(args)
+        report = _report(args)
         _write_stdout(report_json(report) if args.json else render_human(report))
     except (SpecFileError, ShapeError) as exc:
         _note(f"error: {exc}")
@@ -236,7 +229,7 @@ def main(argv=None) -> int:
         _note(f"error: internal {type(exc).__name__}: {exc}".replace("\n", " "))
         return 3
     _note(f"elapsed: {time.monotonic() - started:.3f}s")
-    return code
+    return 0 if report["ok"] else 1
 
 
 if __name__ == "__main__":

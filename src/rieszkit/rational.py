@@ -18,18 +18,11 @@ from fractions import Fraction
 _RATIONAL_RE = re.compile(r"[+-]?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?")
 
 
-class DigitLimitError(ValueError):
-    """A literal has more digits than the int-to-str limit lets int() read."""
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse a "p/q" (or bare "p") literal into an exact Fraction."""
     if not isinstance(text, str) or _RATIONAL_RE.fullmatch(text) is None:
         raise ValueError(f"not a rational literal of the form p/q: {text!r}")
-    try:
-        return Fraction(text)
-    except ValueError as exc:  # the syntax passed, so only the digit limit is left
-        raise DigitLimitError(str(exc)) from exc
+    return Fraction(text)
 
 
 def format_rational(value: Fraction) -> str:

@@ -5,9 +5,10 @@ A report is a plain dict rendered either as compact canonical JSON
 human text. Identical input and seed produce identical bytes: nothing
 time- or path-dependent goes in (wall time is printed to stderr by the
 CLI, never into the report). Witnesses are serialized 1-based to match
-the file formats and can be re-verified later by the replay command,
-which re-encodes the parsed stored report in this compact form before
-comparing, so the indented form older versions wrote replays just the same.
+the file formats, and :func:`witness_from_obj` reads a printed one back
+so it can be re-verified by evaluation. The replay command re-encodes
+the parsed stored report in this compact form before comparing, so the
+indented form older versions wrote replays just the same.
 """
 
 from __future__ import annotations

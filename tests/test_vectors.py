@@ -137,6 +137,9 @@ def test_dimension_mismatch_rejected():
         lambda: Permutation([1.0, 0.0]),
         lambda: Permutation(["1", "0"]),
         lambda: FinVector.atom(2, 0.5),
+        lambda: EvConstSeq({2: 5}).value_at(2.0),
+        lambda: EvConstSeq({2: 5}).value_at(1.5),
+        lambda: WeightedCompOp(EvConstSeq.constant(1), {2: 3}, shift=1).sigma(1.5),
     ],
     ids=[
         "tensor-codomain",
@@ -151,10 +154,14 @@ def test_dimension_mismatch_rejected():
         "perm-float",
         "perm-string",
         "atom-float",
+        "seq-value-at-integral-float",
+        "seq-value-at-float",
+        "comp-sigma-float",
     ],
 )
 def test_constructors_reject_non_integral_indices(build):
-    # int() used to truncate 1.9 to 1 and read "2" as 2
+    # int() used to truncate 1.9 to 1 and read "2" as 2; value_at(2.0) read
+    # index 2, value_at(1.5) the tail, and sigma(1.5) returned 2.5
     with pytest.raises(TypeError):
         build()
 
