@@ -287,14 +287,12 @@ def _marginal_obj(dims: tuple[int, ...], mask: int, entries: _Form) -> dict:
     }
 
 
-def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> dict:
+def _report_arens(tensor: MultiTensor, perm: str, trace: bool) -> dict:
     """The ``arens`` report: the extension and its DP verdict per permutation.
 
-    ``args`` holds the ``perm`` choice and the ``trace`` flag, as the
-    command line gives them and a stored report's ``detail.args`` keeps them.
+    ``perm`` is the ``--perm`` choice and ``trace`` the ``--trace`` flag.
     """
-    perms = _perm_choices(args["perm"], tensor.m)
-    with_trace = args["trace"]
+    perms = _perm_choices(perm, tensor.m)
     verdict = tensor.is_dp()
     # Every Q^d is reflexive: each extension is the input, so all of them
     # share its verdict and its one wire-form dict.
@@ -302,12 +300,12 @@ def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> dict:
     extensions = []
     for rho in perms:
         entry = {"perm": list(rho.one_line()), "dp": verdict.is_dp, "tensor": tensor_obj}
-        if with_trace:
+        if trace:
             entry["trace"] = chain_masks(rho)
         extensions.append(entry)
     witness = None if verdict.witness is None else witness_to_obj(verdict.witness)
-    detail = {"extensions": extensions, "args": args}
-    if with_trace:
+    detail = {"extensions": extensions}
+    if trace:
         detail["marginals"] = {
             str(k + 1): {
                 str(mask): _marginal_obj(tensor.domain_dims, mask, entries)
@@ -316,8 +314,6 @@ def _report_arens(tensor: MultiTensor, digest: str, args: dict) -> dict:
             for k, memo in trace_marginals(tensor.slices(), perms).items()
         }
     return build_report(
-        "arens",
-        digest,
         [check("input-dp", verdict.is_dp)],
         witness=witness,
         cost={

@@ -11,13 +11,16 @@ the same input and seed; wall-clock time goes to stderr only.
 
 This module holds the parser, the exit-code contract, the report
 builders of the four tensor commands that share one code path (check-dp,
-modulus, factorize, rank) and :func:`_report`, the one path from a parsed
-command line to its report, which ``replay`` reruns. Every other builder
-lives beside the code it runs and is imported only by the subcommand that
-runs it, so a process compiles no source it does not execute: ``arens`` in
-:mod:`rieszkit.arens`, ``seq-demo`` in :mod:`rieszkit.seqmodel` and
-``replay`` in :mod:`rieszkit.replay`. Every builder returns just its
-report, and :func:`main` alone turns its ``ok`` into exit code 0 or 1.
+modulus, factorize, rank), the options each command records
+(:data:`RECORDED_OPTIONS`) and :func:`build`, the one path from a
+command, its input file and those options to its report: the command
+line takes it, and so does ``replay`` with a stored report's command and
+options. Every other builder lives beside the code it runs and is
+imported only by the subcommand that runs it, so a process compiles no
+source it does not execute: ``arens`` in :mod:`rieszkit.arens`,
+``seq-demo`` in :mod:`rieszkit.seqmodel` and ``replay`` in
+:mod:`rieszkit.replay`. :func:`main` alone turns a report's ``ok``
+into exit code 0 or 1.
 """
 
 from __future__ import annotations
@@ -26,7 +29,15 @@ import argparse
 import sys
 import time
 
-from .fileformat import SpecFileError, decode_utf8, loads_spec, read_bytes, tensor_to_obj
+from .fileformat import (
+    SpecFileError,
+    canonical_json,
+    decode_utf8,
+    loads_spec,
+    read_bytes,
+    seq_to_obj,
+    tensor_to_obj,
+)
 from .operators import (
     MultiTensor,
     NotDisjointnessPreserving,
@@ -46,108 +57,114 @@ from .report import (
 )
 
 
-def _load_tensor(path: str) -> tuple[MultiTensor, str]:
-    data = read_bytes(path)
-    spec = loads_spec(decode_utf8(data))
-    if not isinstance(spec, MultiTensor):
-        raise SpecFileError(f"{path} does not contain a tensor spec")
-    return spec, input_digest(data)
-
-
-def _report_check_dp(tensor: MultiTensor, digest: str, args: dict) -> dict:
+def _report_check_dp(tensor: MultiTensor) -> dict:
     verdict = tensor.is_dp()
     witness = None if verdict.witness is None else witness_to_obj(verdict.witness)
     return build_report(
-        "check-dp",
-        digest,
         [check("disjointness-preserving", verdict.is_dp)],
         witness=witness,
         cost={"entries": tensor.nnz(), "slices": tensor.codomain_dim},
-        detail={"certificate": certificate_to_obj(verdict), "args": args},
+        detail={"certificate": certificate_to_obj(verdict)},
     )
 
 
-def _report_modulus(tensor: MultiTensor, digest: str, args: dict) -> dict:
+def _report_modulus(tensor: MultiTensor) -> dict:
     return build_report(
-        "modulus",
-        digest,
         [check("modulus-computed", True, entries=tensor.nnz())],
         cost={"entries": tensor.nnz()},
-        detail={"modulus": tensor_to_obj(tensor.modulus()), "args": args},
+        detail={"modulus": tensor_to_obj(tensor.modulus())},
     )
 
 
-def _report_factorize(tensor: MultiTensor, digest: str, args: dict) -> dict:
+def _report_factorize(tensor: MultiTensor) -> dict:
     try:
         factorization = factorize_multimorphism(tensor)
     except NotDisjointnessPreserving as exc:
         return build_report(
-            "factorize",
-            digest,
             [check("disjointness-preserving", False)],
             witness=witness_to_obj(exc.verdict.witness),
-            detail={"args": args},
         )
     if factorization.is_zero:
-        detail = {"zero": True, "args": args}
+        detail = {"zero": True}
     else:
         detail = {
             "zero": False,
             "scale": format_rational(factorization.scale),
             "coords": [c + 1 for c in factorization.coords],
-            "args": args,
         }
     return build_report(
-        "factorize",
-        digest,
         [check("disjointness-preserving", True), check("factorized", True)],
         cost={"entries": tensor.nnz()},
         detail=detail,
     )
 
 
-def _report_rank(tensor: MultiTensor, digest: str, args: dict) -> dict:
+def _report_rank(tensor: MultiTensor) -> dict:
     basis = tensor.range_sublattice_basis()
     return build_report(
-        "rank",
-        digest,
         [check("rank-computed", True, rank=len(basis))],
         cost={"entries": tensor.nnz(), "atoms": len({idx for (_, idx), _ in tensor.items()})},
-        detail={
-            "rank": len(basis),
-            "basis": [vector_to_obj(v) for v in basis],
-            "args": args,
-        },
+        detail={"rank": len(basis), "basis": [vector_to_obj(v) for v in basis]},
     )
 
 
-def _report(args) -> dict:
-    """The report of a parsed command line.
+# The commands a report can come from and the options each records in
+# detail.args, with their exact JSON types (bool is an int subclass).
+RECORDED_OPTIONS = {
+    "check-dp": {},
+    "modulus": {},
+    "factorize": {},
+    "rank": {},
+    "arens": {"perm": str, "trace": bool},
+    "seq-demo": {"seed": int},
+}
 
-    Every command reaches its builder here, ``replay``'s rerun included,
-    and each command's ``detail.args`` is recorded here. Builders are
-    looked up per call, so a test can swap one.
+
+def build(command: str, path: str | None, options: dict) -> dict:
+    """The report of ``command`` on the input file at ``path`` with ``options``.
+
+    ``options`` are the command's :data:`RECORDED_OPTIONS`, from the
+    command line or from a stored report's ``detail.args``. Each builder
+    returns only its checks, witness, cost and detail; the command, the
+    input digest and ``detail.args`` are added here. seq-demo also records
+    the weight it ran with, and without a weight file its input digest is
+    that of its recorded args. Builders are looked up per call, so a test
+    can swap one.
     """
-    if args.command == "seq-demo":
-        from .seqmodel import _report_seq_demo, _seq_demo_inputs
+    args = dict(options)
+    if command == "seq-demo":
+        from .seqmodel import _report_seq_demo as builder, _seq_demo_weight
 
-        return _report_seq_demo(*_seq_demo_inputs(args))
+        operand, data = _seq_demo_weight(path)
+        args["weight"] = seq_to_obj(operand)
+    else:
+        data = read_bytes(path)
+        operand = loads_spec(decode_utf8(data))
+        if not isinstance(operand, MultiTensor):
+            raise SpecFileError(f"{path} does not contain a tensor spec")
+        if command == "arens":
+            from .arens import _report_arens as builder
+        else:
+            builder = {
+                "check-dp": _report_check_dp,
+                "modulus": _report_modulus,
+                "factorize": _report_factorize,
+                "rank": _report_rank,
+            }[command]
+    digest = input_digest(canonical_json(args).encode() if data is None else data)
+    report = {"command": command, "input_digest": digest, **builder(operand, **options)}
+    report.setdefault("detail", {})["args"] = args
+    return report
+
+
+def _report(args) -> dict:
+    """The report of a parsed command line: replay's, or :func:`build`'s."""
     if args.command == "replay":
         from .replay import _run_replay
 
         return _run_replay(args)
-    tensor, digest = _load_tensor(args.file)
-    if args.command == "arens":
-        from .arens import _report_arens
-
-        return _report_arens(tensor, digest, {"perm": args.perm, "trace": args.trace})
-    builder = {
-        "check-dp": _report_check_dp,
-        "modulus": _report_modulus,
-        "factorize": _report_factorize,
-        "rank": _report_rank,
-    }[args.command]  # argparse admits only the tensor commands besides
-    return builder(tensor, digest, {})
+    options = {key: getattr(args, key) for key in RECORDED_OPTIONS[args.command]}
+    return build(args.command, args.file, options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,13 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("check-dp", "decide whether a tensor preserves disjointness")
 
-    p_arens = add("arens", "compute bidual extensions and re-check disjointness")
+    p_arens = add("arens", "compute bidual extensions and decide disjointness of the input")
     p_arens.add_argument(
         "--perm",
         default="all",
         help='"all", "id", "theta", or cycle notation such as "(1 2)"',
     )
-    p_arens.add_argument("--trace", action="store_true", help="record intermediate forms")
+    p_arens.add_argument("--trace", action="store_true", help="print the chain masks and subset marginals")
 
     add("modulus", "entrywise modulus of a tensor")
     add("factorize", "factor a scalar disjointness preserving tensor")
@@ -180,7 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_seq = add("seq-demo", "run the sequence model instance suite", needs_file=False)
     p_seq.add_argument("--seed", type=int, default=0)
-    p_seq.add_argument("--weight-file", help="EvConstSeq JSON overriding the default weight")
+    p_seq.add_argument(
+        "--weight-file",
+        dest="file",
+        metavar="WEIGHT_FILE",
+        help="EvConstSeq or diag-bilinear spec JSON overriding the default weight",
+    )
 
     p_replay = add("replay", "re-verify a stored report", needs_file=False)
     p_replay.add_argument("report", help="report JSON produced with --json")

@@ -1,10 +1,11 @@
 """The ``replay`` subcommand: re-verify a stored report.
 
 Only three things are read from a stored report: its command, the
-options it recorded (``detail.args``, type-checked) and its input digest.
-That command line is rerun on the given input file through
-:func:`rieszkit.cli._report`, the path every command takes, so every
-field is recomputed, the input digest and ``detail.args`` included. The
+options it recorded (``detail.args``, type-checked against
+:data:`rieszkit.cli.RECORDED_OPTIONS`) and its input digest. That command
+is rerun with those options on the given input file through
+:func:`rieszkit.cli.build`, the path every command takes, so every field
+is recomputed, the input digest and ``detail.args`` included. The
 input must have the stored digest (exit 2 otherwise), and the verdict is
 whether the rebuilt report matches the stored one as canonical bytes. A
 stored witness is one of those fields: the rerun re-verified the witness
@@ -14,23 +15,9 @@ that was not reproduced. Only ``replay`` loads this module.
 
 from __future__ import annotations
 
-import argparse
-
 from . import cli
 from .fileformat import SpecFileError, decode_json, decode_utf8, read_bytes
 from .report import build_report, check, report_json
-
-
-# The commands a report can come from and the options each records in
-# detail.args, with their exact JSON types (bool is an int subclass).
-_RECORDED_OPTIONS = {
-    "check-dp": {},
-    "modulus": {},
-    "factorize": {},
-    "rank": {},
-    "arens": {"perm": str, "trace": bool},
-    "seq-demo": {"seed": int},
-}
 
 
 def _stored_command(stored) -> tuple[str, dict]:
@@ -40,13 +27,13 @@ def _stored_command(stored) -> tuple[str, dict]:
     recomputed, so a malformed report is an input error rather than a crash.
     """
     command = stored.get("command") if isinstance(stored, dict) else None
-    if not isinstance(command, str) or command not in _RECORDED_OPTIONS:
+    if not isinstance(command, str) or command not in cli.RECORDED_OPTIONS:
         raise SpecFileError(f"not a report of a command that replays: {command!r}")
     detail = stored.get("detail", {})
     stored_args = detail.get("args", {}) if isinstance(detail, dict) else None
     if not isinstance(stored_args, dict):
         raise SpecFileError("report detail.args must be a JSON object")
-    options = _RECORDED_OPTIONS[command]
+    options = cli.RECORDED_OPTIONS[command]
     for key, kind in options.items():
         if type(stored_args.get(key)) is not kind:
             raise SpecFileError(f"report detail.args.{key} must be a {kind.__name__}")
@@ -58,15 +45,16 @@ def _run_replay(args) -> dict:
     command, options = _stored_command(stored)
     if args.spec is None and command != "seq-demo":
         raise SpecFileError(f"replaying {command!r} needs the original spec file")
-    rerun = argparse.Namespace(command=command, file=args.spec, weight_file=args.spec, **options)
-    rebuilt = cli._report(rerun)
+    rebuilt = cli.build(command, args.spec, options)
     if rebuilt["input_digest"] != stored.get("input_digest"):
         raise SpecFileError("the input does not match the report's input_digest")
 
     # Compared as canonical bytes: parsed JSON has true == 1 == 1.0.
-    return build_report(
-        "replay",
-        rebuilt["input_digest"],
-        [check("report-reproduced", report_json(rebuilt) == report_json(stored))],
-        detail={"args": {"command": command}},
-    )
+    return {
+        "command": "replay",
+        "input_digest": rebuilt["input_digest"],
+        **build_report(
+            [check("report-reproduced", report_json(rebuilt) == report_json(stored))],
+            detail={"args": {"command": command}},
+        ),
+    }

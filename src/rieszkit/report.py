@@ -5,10 +5,11 @@ A report is a plain dict rendered either as compact canonical JSON
 human text. Identical input and seed produce identical bytes: nothing
 time- or path-dependent goes in (wall time is printed to stderr by the
 CLI, never into the report). Witnesses are serialized 1-based to match
-the file formats, and :func:`witness_from_obj` reads a printed one back
-so it can be re-verified by evaluation. The replay command re-encodes
-the parsed stored report in this compact form before comparing, so the
-indented form older versions wrote replays just the same.
+the file formats; :func:`witness_from_obj` reads a printed one back for
+the tests and the benchmark, since replay reads no stored witness. The
+replay command re-encodes the parsed stored report in this compact form
+before comparing, so the indented form older versions wrote replays just
+the same.
 """
 
 from __future__ import annotations
@@ -86,8 +87,6 @@ def check(name: str, passed: bool, **detail) -> dict:
 
 
 def build_report(
-    command: str,
-    digest: str,
     checks: list[dict],
     *,
     witness: dict | None = None,
@@ -95,9 +94,8 @@ def build_report(
     seed: int | None = None,
     detail: dict | None = None,
 ) -> dict:
+    """A report but for what :func:`rieszkit.cli.build` adds: command, digest, args."""
     report = {
-        "command": command,
-        "input_digest": digest,
         "checks": checks,
         "ok": all(c["verdict"] == "pass" for c in checks),
     }
@@ -128,7 +126,7 @@ def report_json(report: dict) -> str:
 def _spliced(report: dict) -> str | None:
     """``_encode(report)`` with the input's wire form encoded only once, or None.
 
-    ``report`` comes from :func:`build_report`, or is one decoded. Each
+    ``report`` comes from :func:`rieszkit.cli.build`, or is one decoded. Each
     ``arens`` extension is the input (every Q^d is reflexive), and the
     report holds the input's one wire-form dict at every permutation, m!
     copies in the text. That dict is encoded once and its text spliced in

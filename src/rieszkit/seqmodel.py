@@ -32,7 +32,7 @@ rank of the diagonal map in closed form (:func:`diag_lattice_rank`).
 
 The command line front end's sequence-model code lives here too: the
 parsers of the two sequence spec kinds (:func:`parse_diag`,
-:func:`parse_comp`) and the seq-demo report (:func:`_seq_demo_inputs`,
+:func:`parse_comp`) and the seq-demo report (:func:`_seq_demo_weight`,
 :func:`_report_seq_demo`). So only seq-demo, a replay of its report and
 reading a sequence spec load this module.
 """
@@ -49,17 +49,15 @@ from .fileformat import (
     _check_keys,
     _check_version,
     _require_dict,
-    canonical_json,
     decode_json,
     decode_utf8,
     index_key,
     parse_seq,
     read_bytes,
-    seq_to_obj,
 )
 from .operators import ShapeError, _contract_entries
 from .rational import as_fraction, format_rational
-from .report import build_report, check, input_digest
+from .report import build_report, check
 from .vectors import CoordinatewiseLattice
 
 _ZERO = Fraction(0)
@@ -244,10 +242,19 @@ def diag_arens(op: DiagBilinear, u: EvConstSeq, v: EvConstSeq) -> EvConstSeq:
     return op.weight.pointwise_mul(u).pointwise_mul(v)
 
 
+def _first_disagreement(pairs: Iterator[tuple[int, Fraction, Fraction]]) -> tuple[int, tuple | None]:
+    """The probes run, up to and including the first disagreement, and that (k, got, expected)."""
+    count = 0
+    for count, probe in enumerate(pairs, 1):
+        if probe[1] != probe[2]:
+            return count, probe
+    return count, None
+
+
 def _check_probes(pairs: Iterator[tuple[int, Fraction, Fraction]], what: str) -> None:
-    for k, got, expected in pairs:
-        if got != expected:
-            raise RuntimeError(f"{what} at index {k}: {got} != {expected}")
+    _, bad = _first_disagreement(pairs)
+    if bad is not None:
+        raise RuntimeError(f"{what} at index {bad[0]}: {bad[1]} != {bad[2]}")
 
 
 def diag_probe_pairs(
@@ -487,25 +494,19 @@ def parse_comp(obj) -> WeightedCompOp:
     return WeightedCompOp(parse_seq(obj["weight"], "weight"), table, shift)
 
 
-def _seq_demo_inputs(args) -> tuple[EvConstSeq, str, dict]:
-    """The weight, input digest and report args of a seq-demo command line."""
-    if args.weight_file:
-        data = read_bytes(args.weight_file)
-        obj = decode_json(decode_utf8(data, "weight file"))
-        kind = obj.get("kind", "tensor" if "m" in obj else None) if isinstance(obj, dict) else None
-        if kind not in (None, "diag-bilinear"):
-            raise SpecFileError(f"--weight-file takes a sequence or a diag-bilinear spec, not {kind!r}")
-        weight = parse_seq(obj, "weight") if kind is None else parse_diag(obj).weight
-        digest = input_digest(data)
-    else:
-        weight = EvConstSeq.constant(1)
-        digest = input_digest(
-            canonical_json({"seed": args.seed, "weight": seq_to_obj(weight)}).encode()
-        )
-    return weight, digest, {"seed": args.seed, "weight": seq_to_obj(weight)}
+def _seq_demo_weight(path: str | None) -> tuple[EvConstSeq, bytes | None]:
+    """The weight of a seq-demo run and the bytes of its weight file (None: no file)."""
+    if not path:
+        return EvConstSeq.constant(1), None
+    data = read_bytes(path)
+    obj = decode_json(decode_utf8(data, "weight file"))
+    kind = obj.get("kind", "tensor" if "m" in obj else None) if isinstance(obj, dict) else None
+    if kind not in (None, "diag-bilinear"):
+        raise SpecFileError(f"--weight-file takes a sequence or a diag-bilinear spec, not {kind!r}")
+    return (parse_seq(obj, "weight") if kind is None else parse_diag(obj).weight), data
 
 
-def _report_seq_demo(weight: EvConstSeq, digest: str, args: dict) -> dict:
+def _report_seq_demo(weight: EvConstSeq, seed: int) -> dict:
     """The paper's theorem on the c0 model, for the diagonal map of ``weight``.
 
     The DP checks and the lattice rank are decided exactly over finite
@@ -517,15 +518,13 @@ def _report_seq_demo(weight: EvConstSeq, digest: str, args: dict) -> dict:
 
     def agrees(name: str, pairs) -> bool:
         nonlocal probes, witness
-        for index, got, expected in pairs:
-            probes += 1
-            if got != expected:
-                got, expected = format_rational(got), format_rational(expected)
-                witness = witness or {"check": name, "index": index, "got": got, "expected": expected}
-                return False
-        return True
+        count, bad = _first_disagreement(pairs)
+        probes += count
+        if bad is not None and witness is None:
+            got, expected = map(format_rational, bad[1:])
+            witness = {"check": name, "index": bad[0], "got": got, "expected": expected}
+        return bad is None
 
-    seed = args["seed"]
     rng = random.Random(seed)
     extension_ok = all(
         agrees(
@@ -558,15 +557,7 @@ def _report_seq_demo(weight: EvConstSeq, digest: str, args: dict) -> dict:
         for _ in range(20)
     )
     checks.append(check("biadjoint-extends-apply", embeds_ok, samples=20))
-    return build_report(
-        "seq-demo",
-        digest,
-        checks,
-        witness=witness,
-        seed=seed,
-        cost={"probes": probes},
-        detail={"args": args},
-    )
+    return build_report(checks, witness=witness, seed=seed, cost={"probes": probes})
 
 
 # Kept only because perfbench/traced.py imports these names: each answers by

@@ -298,7 +298,7 @@ def test_acceptance_8_sequence_model(capsys):
         ones_op = DiagBilinear(ones)
         assert rank_lower_bound(ones_op, 32) == 32
         # the reported certificate of infinite rank: >= 32 disjoint nonzero range elements
-        report = _report_seq_demo(ones, "sha256:x", {"seed": 88})
+        report = _report_seq_demo(ones, 88)
         rank_check = next(c for c in report["checks"] if c["name"] == "rank")
         assert rank_check["hypothesis"] == "dual-basis"
         first, last = rank_check["disjoint"]

@@ -179,7 +179,7 @@ def _plain_json(report):
 def test_report_json_equals_plain_dumps(t, perm, trace):
     # report_json encodes the extension tensor shared with the input once
     # and splices it in; the bytes must not change
-    report = _report_arens(t, "sha256:x", {"perm": perm, "trace": trace})
+    report = _report_arens(t, perm, trace)
     assert report_json(report) == _plain_json(report)
 
 

@@ -335,7 +335,7 @@ def test_arens_builds_no_extension_tensor(monkeypatch):
                 patch.setattr(MultiTensor, "is_dp", counted)
                 patch.setattr(MultiTensor, "__init__", counted_init)
                 patch.setattr(MultiTensor, "_derived", classmethod(counted_derived))
-                report = _report_arens(tensor, "sha256:x", {"perm": "all", "trace": trace})
+                report = _report_arens(tensor, "all", trace)
             assert report["ok"] is dp
             assert built == [], (name, trace, len(built))  # one tensor per permutation shows here
             assert len(calls) == 1 and calls[0] is tensor
@@ -352,7 +352,7 @@ def test_arens_report_matches_reference_on_every_fixture():
         tensor = loads_spec(path.read_text())
         if not isinstance(tensor, MultiTensor):
             continue
-        report = _report_arens(tensor, "sha256:x", {"perm": "all", "trace": False})
+        report = _report_arens(tensor, "all", False)
         input_dp = tensor.is_dp().is_dp
         for extension in report["detail"]["extensions"]:
             rho = Permutation([i - 1 for i in extension["perm"]])
@@ -498,6 +498,31 @@ def test_seq_demo_probe_disagreement_is_a_witness(monkeypatch, capsys):
     assert parse_rational(witness["got"]) == parse_rational(witness["expected"]) + 1
 
 
+def test_seq_demo_counts_probes_up_to_the_first_disagreement(monkeypatch, capsys):
+    # the first diagonal probe disagrees, which stops that suite; every
+    # composition probe still runs, and cost.probes counts all of them
+    from rieszkit import seqmodel
+
+    real_diag, real_comp = seqmodel.diag_arens_pair, seqmodel.comp_probe_pairs
+    run_probes = []
+
+    def diag(*args):
+        run_probes.append(args)
+        return real_diag(*args) + 1
+
+    def comp(*args):
+        for probe in real_comp(*args):
+            run_probes.append(probe)
+            yield probe
+
+    monkeypatch.setattr(seqmodel, "diag_arens_pair", diag)
+    monkeypatch.setattr(seqmodel, "comp_probe_pairs", comp)
+    assert cli.main(["seq-demo", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["witness"]["check"] == "diag-extension-agrees"
+    assert report["cost"]["probes"] == len(run_probes) > 1
+
+
 def test_closed_stdout_exits_4():
     result = subprocess.run(
         [sys.executable, "-m", "rieszkit", "check-dp", str(fixture("t_vector_dp.json"))],
@@ -579,7 +604,7 @@ def test_weight_file_of_another_kind_is_named(capsys, name, kind):
         assert err == f"error: --weight-file takes a sequence or a diag-bilinear spec, not {kind!r}\n"
 
 
-def test_zero_padded_witness_slot_is_an_input_error(tmp_path, capsys):
+def test_zero_padded_witness_slot_is_not_reproduced(tmp_path, capsys):
     # a stored witness slot "02" was read as slot 2 and replayed as valid;
     # replay reads no stored witness, so the respelled one is not reproduced
     assert cli.main(["check-dp", str(fixture("t_diag.json")), "--json"]) == 1
@@ -591,7 +616,7 @@ def test_zero_padded_witness_slot_is_an_input_error(tmp_path, capsys):
     assert "[FAIL] report-reproduced" in capsys.readouterr().out
 
 
-def test_replay_past_the_digit_limit_names_the_limit(tmp_path, capsys):
+def test_witness_past_the_digit_limit_replays_at_the_default_limit(tmp_path, capsys):
     # a witness whose numbers pass the int-to-str limit is one the CLI
     # prints; replay reads no stored witness, so it replays at the default
     # limit (it exited 2 there and replayed only under a raised limit)
@@ -883,11 +908,9 @@ def test_replay_recomputes_every_field(tmp_path, capsys, case):
 
 
 def test_replay_table_names_every_command():
-    from rieszkit.replay import _RECORDED_OPTIONS
-
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(sub.choices) - {"replay"} == set(_RECORDED_OPTIONS)
-    for command, options in _RECORDED_OPTIONS.items():
+    assert set(sub.choices) - {"replay"} == set(cli.RECORDED_OPTIONS)
+    for command, options in cli.RECORDED_OPTIONS.items():
         assert set(options) <= {a.dest for a in sub.choices[command]._actions}, command
 
 
