@@ -49,7 +49,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .fileformat import SpecFileError, tensor_to_obj
 from .operators import MultiTensor, ShapeError, _contract_entries
 from .rational import format_rational
-from .report import build_report, check, witness_to_obj
+from .report import build_report, check
 from .vectors import FinVector
 
 _ZERO = Fraction(0)
@@ -303,7 +303,6 @@ def _report_arens(tensor: MultiTensor, perm: str, trace: bool) -> dict:
         if trace:
             entry["trace"] = chain_masks(rho)
         extensions.append(entry)
-    witness = None if verdict.witness is None else witness_to_obj(verdict.witness)
     detail = {"extensions": extensions}
     if trace:
         detail["marginals"] = {
@@ -315,7 +314,7 @@ def _report_arens(tensor: MultiTensor, perm: str, trace: bool) -> dict:
         }
     return build_report(
         [check("input-dp", verdict.is_dp)],
-        witness=witness,
+        witness=verdict.witness,
         cost={
             "permutations": len(perms),
             "entries": tensor.nnz(),

@@ -3,11 +3,12 @@
 Subcommands ingest operator spec files, run the corresponding checks and
 print a report, human-readable by default or compact canonical JSON with
 --json. Exit codes: 0 when the report's ``ok`` holds, 1 when it does not
-(the checked property fails, and the report then carries a witness), 2
-on input errors, 3 on an unexpected internal error (one ``error:`` line
-on stderr, no report), 4 when the report cannot be written because
-stdout is closed or fails. Reports are byte-identical across runs for
-the same input and seed; wall-clock time goes to stderr only.
+(the checked property fails, and a DP decision's report then carries a
+DP witness), 2 on input errors, 3 on an unexpected internal error or a
+failed self-check (one ``error:`` line on stderr, no report), 4 when the
+report cannot be written because stdout is closed or fails. Reports are
+byte-identical across runs for the same input and seed; wall-clock time
+goes to stderr only.
 
 This module holds the parser, the exit-code contract, the report
 builders of the four tensor commands that share one code path (check-dp,
@@ -53,16 +54,14 @@ from .report import (
     render_human,
     report_json,
     vector_to_obj,
-    witness_to_obj,
 )
 
 
 def _report_check_dp(tensor: MultiTensor) -> dict:
     verdict = tensor.is_dp()
-    witness = None if verdict.witness is None else witness_to_obj(verdict.witness)
     return build_report(
         [check("disjointness-preserving", verdict.is_dp)],
-        witness=witness,
+        witness=verdict.witness,
         cost={"entries": tensor.nnz(), "slices": tensor.codomain_dim},
         detail={"certificate": certificate_to_obj(verdict)},
     )
@@ -82,7 +81,7 @@ def _report_factorize(tensor: MultiTensor) -> dict:
     except NotDisjointnessPreserving as exc:
         return build_report(
             [check("disjointness-preserving", False)],
-            witness=witness_to_obj(exc.verdict.witness),
+            witness=exc.verdict.witness,
         )
     if factorization.is_zero:
         detail = {"zero": True}

@@ -4,9 +4,12 @@ A report is a plain dict rendered either as compact canonical JSON
 (sorted keys, no insignificant whitespace, trailing newline) or as stable
 human text. Identical input and seed produce identical bytes: nothing
 time- or path-dependent goes in (wall time is printed to stderr by the
-CLI, never into the report). Witnesses are serialized 1-based to match
-the file formats; :func:`witness_from_obj` reads a printed one back for
-the tests and the benchmark, since replay reads no stored witness. The
+CLI, never into the report). Every witness is a DP witness
+(:class:`rieszkit.operators.DPWitness`) that re-verifies by evaluation:
+seq-demo's probe suites raise rather than report a disagreement.
+:func:`build_report` serializes it 1-based to match the file formats;
+:func:`witness_from_obj` reads a printed one back for the tests and the
+benchmark, since replay reads no stored witness. The
 replay command re-encodes the parsed stored report in this compact form
 before comparing, so the indented form older versions wrote replays just
 the same.
@@ -89,7 +92,7 @@ def check(name: str, passed: bool, **detail) -> dict:
 def build_report(
     checks: list[dict],
     *,
-    witness: dict | None = None,
+    witness: DPWitness | None = None,
     cost: dict | None = None,
     seed: int | None = None,
     detail: dict | None = None,
@@ -100,7 +103,7 @@ def build_report(
         "ok": all(c["verdict"] == "pass" for c in checks),
     }
     if witness is not None:
-        report["witness"] = witness
+        report["witness"] = witness_to_obj(witness)
     if cost is not None:
         report["cost"] = cost
     if seed is not None:
@@ -165,10 +168,7 @@ def render_human(report: dict) -> str:
         suffix = f"  ({', '.join(extras)})" if extras else ""
         lines.append(f"  [{entry['verdict'].upper():4}] {entry['name']}{suffix}")
     w = report.get("witness")
-    if w is not None and "check" in w:  # a seq-demo probe disagreement
-        lines.append(f"witness: check {w['check']} at index {w['index']}")
-        lines.append(f"  got {w['got']}, expected {w['expected']}")
-    elif w is not None:
+    if w is not None:
         lines.append(
             f"witness: output coordinate {w['out_coord']}, slot {w['slot']}"
         )

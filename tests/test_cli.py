@@ -124,7 +124,7 @@ def loaded_after(argvs, modules):
 TENSOR_BUDGET = 8_800
 REPLAY_BUDGET = 8_500
 ARENS_BUDGET = 10_600
-SEQ_DEMO_BUDGET = 11_500
+SEQ_DEMO_BUDGET = 11_250
 
 
 def test_tensor_commands_import_only_what_they_run(tmp_path):
@@ -482,45 +482,64 @@ def test_seq_demo_exact_rank(capsys, name, rank):
         assert f"hypothesis=finite-rank, rank={rank}" in human
 
 
-def test_seq_demo_probe_disagreement_is_a_witness(monkeypatch, capsys):
+def _assert_probe_fault(capsys, name, argv):
+    # a probe suite compares the library with itself: a disagreement is an
+    # internal error (exit 3, no report), never a verdict with a witness
+    for mode in ([], ["--json"]):
+        assert cli.main([*argv, *mode]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        line = re.fullmatch(
+            rf"error: internal RuntimeError: probe suite {name} fails at index \d+: got (\S+), expected (\S+)\n",
+            err,
+        )
+        assert line and parse_rational(line[1]) == parse_rational(line[2]) + 1, err
+
+
+def test_seq_demo_diagonal_probe_disagreement_exits_3(monkeypatch, capsys):
     from rieszkit import seqmodel
 
     real = seqmodel.diag_arens_pair
     monkeypatch.setattr(seqmodel, "diag_arens_pair", lambda *args: real(*args) + 1)
-    assert cli.main(["seq-demo", "--weight-file", str(fixture("d_sparse.json"))]) == 1
-    out, err = capsys.readouterr()
-    assert "[FAIL] diag-extension-agrees" in out
-    assert re.search(r"witness: check diag-extension-agrees at index \d+\n  got \S+, expected \S+\n", out)
-    assert "Traceback" not in err
-    assert cli.main(["seq-demo", "--json"]) == 1
-    witness = json.loads(capsys.readouterr().out)["witness"]
-    assert set(witness) == {"check", "index", "got", "expected"}
-    assert parse_rational(witness["got"]) == parse_rational(witness["expected"]) + 1
+    _assert_probe_fault(capsys, "diag-extension-agrees", ["seq-demo", "--weight-file", str(fixture("d_sparse.json"))])
 
 
-def test_seq_demo_counts_probes_up_to_the_first_disagreement(monkeypatch, capsys):
-    # the first diagonal probe disagrees, which stops that suite; every
-    # composition probe still runs, and cost.probes counts all of them
+def test_seq_demo_composition_probe_disagreement_exits_3(monkeypatch, capsys):
     from rieszkit import seqmodel
 
-    real_diag, real_comp = seqmodel.diag_arens_pair, seqmodel.comp_probe_pairs
-    run_probes = []
+    real = seqmodel.comp_probe_pairs
+    monkeypatch.setattr(
+        seqmodel, "comp_probe_pairs", lambda *args: ((j, got + 1, want) for j, got, want in real(*args))
+    )
+    _assert_probe_fault(capsys, "biadjoint-extends-apply", ["seq-demo"])
 
-    def diag(*args):
-        run_probes.append(args)
-        return real_diag(*args) + 1
 
-    def comp(*args):
-        for probe in real_comp(*args):
-            run_probes.append(probe)
-            yield probe
+def test_seq_demo_counts_every_probe(monkeypatch, capsys):
+    from rieszkit import seqmodel
 
-    monkeypatch.setattr(seqmodel, "diag_arens_pair", diag)
-    monkeypatch.setattr(seqmodel, "comp_probe_pairs", comp)
-    assert cli.main(["seq-demo", "--json"]) == 1
+    yielded = []
+    for name in ("diag_probe_pairs", "comp_probe_pairs"):
+
+        def counted(*args, real=getattr(seqmodel, name)):
+            for probe in real(*args):
+                yielded.append(probe)
+                yield probe
+
+        monkeypatch.setattr(seqmodel, name, counted)
+    assert cli.main(["seq-demo", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["witness"]["check"] == "diag-extension-agrees"
-    assert report["cost"]["probes"] == len(run_probes) > 1
+    assert report["cost"]["probes"] == len(yielded) > 0
+
+
+def test_empty_weight_file_path_is_an_input_error(tmp_path, capsys):
+    # "" names no file, as for check-dp; it used to run the default weight
+    assert cli.main(["seq-demo", "--seed", "3", "--json"]) == 0
+    report = tmp_path / "report.json"
+    report.write_text(capsys.readouterr().out)
+    for argv in (["seq-demo", "--weight-file", ""], ["replay", str(report), ""]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot read "), err
 
 
 def test_closed_stdout_exits_4():
@@ -825,7 +844,7 @@ MALFORMED_REPORTS = [
     MALFORMED_REPORTS,
     ids=[f"{command}-{corrupt.__name__}" for command, corrupt, _, _ in MALFORMED_REPORTS],
 )
-def test_replay_malformed_report_exits_2(tmp_path, command, corrupt, code, message):
+def test_replay_malformed_report_exits_1_or_2(tmp_path, command, corrupt, code, message):
     report = json.loads(run(command, fixture("t_diag.json"), "--json").stdout)
     corrupt(report)
     path = tmp_path / "report.json"
