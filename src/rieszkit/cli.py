@@ -33,8 +33,9 @@ import time
 from .fileformat import (
     SpecFileError,
     canonical_json,
+    decode_json,
     decode_utf8,
-    loads_spec,
+    parse_spec,
     read_bytes,
     seq_to_obj,
     tensor_to_obj,
@@ -138,9 +139,7 @@ def build(command: str, path: str | None, options: dict) -> dict:
         args["weight"] = seq_to_obj(operand)
     else:
         data = read_bytes(path)
-        operand = loads_spec(decode_utf8(data))
-        if not isinstance(operand, MultiTensor):
-            raise SpecFileError(f"{path} does not contain a tensor spec")
+        operand = parse_spec(decode_json(decode_utf8(data)), ("tensor",), command)
         if command == "arens":
             from .arens import _report_arens as builder
         else:

@@ -1,12 +1,15 @@
 """Reading and writing operator spec files.
 
-Three kinds of JSON files are understood: tensors, diagonal bilinear maps
-and weighted composition operators. All indices on the wire are 1-based;
-rationals are strings "p/q" (or "p" when the denominator is 1). A tensor
-file is recognized by its "m" field; the two sequence kinds must carry an
-explicit "kind". Duplicate tensor entries are rejected rather than merged.
-The parsers of the two sequence kinds live in :mod:`rieszkit.seqmodel`,
-which :func:`parse_spec` loads only when it reads one.
+Four kinds of JSON files are understood: tensors, diagonal bilinear maps,
+weighted composition operators and bare sequences. All indices on the wire
+are 1-based; rationals are strings "p/q" (or "p" when the denominator is
+1). :func:`parse_spec` alone reads a file's envelope: its kind is the
+"kind" field, else "tensor" when there is an "m" field, else "sequence";
+a command refuses a kind it does not take before reading anything else,
+and the three kinds other than a bare sequence carry a format version.
+Duplicate tensor entries are rejected rather than merged. The parsers of
+the two operator kinds on sequences live in :mod:`rieszkit.seqmodel`,
+which only a sequence kind loads.
 
 :func:`canonical_json` is the canonical spec text (sorted keys, fixed
 indentation, trailing newline), so identical objects produce identical
@@ -30,6 +33,8 @@ if TYPE_CHECKING:
     from .seqmodel import DiagBilinear, EvConstSeq, WeightedCompOp
 
 FORMAT_VERSION = 1
+# Every spec kind, in the order the refusal of another kind lists them.
+SPEC_KINDS = ("tensor", "diag-bilinear", "weighted-comp", "sequence")
 
 _TENSOR_KEYS = {"format", "kind", "m", "domain_dims", "codomain_dim", "entries"}
 _ENTRY_KEYS = {"out", "idx", "value"}
@@ -73,12 +78,6 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> 
     missing = required - set(obj)
     if missing:
         raise SpecFileError(f"missing keys in {what}: {sorted(missing)}")
-
-
-def _check_version(obj: dict) -> None:
-    version = obj.get("format", FORMAT_VERSION)
-    if not _is_int(version) or version != FORMAT_VERSION:  # true and 1.0 equal 1 too
-        raise SpecFileError(f"unsupported format version {version!r}")
 
 
 def _is_int(value) -> bool:
@@ -135,16 +134,13 @@ def _rational_field(value, what: str):
 def parse_tensor(obj) -> MultiTensor:
     """Validate a tensor spec and build its tensor, in one pass over the entries.
 
-    The shape is checked first; then each entry gets its type, 1-based,
-    range and duplicate checks, and each distinct rational literal is
-    parsed once per file. Entries given as zero are checked like the
-    others and then dropped.
+    ``obj`` is a dict whose envelope (kind and format version)
+    :func:`parse_spec` has read. The shape is checked first; then each
+    entry gets its type, 1-based, range and duplicate checks, and each
+    distinct rational literal is parsed once per file. Entries given as
+    zero are checked like the others and then dropped.
     """
-    obj = _require_dict(obj, "tensor spec")
     _check_keys(obj, _TENSOR_KEYS, {"m", "domain_dims", "codomain_dim", "entries"}, "tensor spec")
-    _check_version(obj)
-    if obj.get("kind", "tensor") != "tensor":
-        raise SpecFileError(f"kind {obj['kind']!r} does not describe a tensor")
     m = _int_field(obj, "m", "tensor spec")
     dims = obj["domain_dims"]
     if not isinstance(dims, list) or len(dims) != m or not _all_ints(dims):
@@ -232,25 +228,31 @@ def seq_to_obj(seq: EvConstSeq) -> dict:
     }
 
 
-def parse_spec(obj) -> MultiTensor | DiagBilinear | WeightedCompOp:
+def parse_spec(
+    obj, kinds: tuple[str, ...] = SPEC_KINDS, what: str = "spec file"
+) -> MultiTensor | DiagBilinear | WeightedCompOp | EvConstSeq:
+    """The operator a spec object holds, if its kind is one of ``kinds``.
+
+    The kind is the "kind" field, else "tensor" when there is an "m"
+    field, else "sequence". A kind outside ``kinds`` is refused before
+    anything else is read, as ``what takes a ... spec``; it is compared
+    by tuple membership, so an unhashable one is refused too. Every kind
+    but a bare sequence carries a format version.
+    """
     obj = _require_dict(obj, "spec file")
-    kind = obj.get("kind")
-    if kind is None:
-        if "m" in obj:
-            kind = "tensor"
-        else:
-            raise SpecFileError("cannot tell the spec kind: no 'kind' and no 'm' field")
+    kind = obj["kind"] if "kind" in obj else "tensor" if "m" in obj else "sequence"
+    if kind not in kinds:
+        raise SpecFileError(f"{what} takes a {' or a '.join(kinds)} spec, not {kind!r}")
+    if kind == "sequence":
+        return parse_seq(obj, "weight")
+    version = obj.get("format", FORMAT_VERSION)
+    if not _is_int(version) or version != FORMAT_VERSION:  # true and 1.0 equal 1 too
+        raise SpecFileError(f"unsupported format version {version!r}")
     if kind == "tensor":
         return parse_tensor(obj)
-    if kind == "diag-bilinear":
-        from .seqmodel import parse_diag
+    from . import seqmodel
 
-        return parse_diag(obj)
-    if kind == "weighted-comp":
-        from .seqmodel import parse_comp
-
-        return parse_comp(obj)
-    raise SpecFileError(f"unknown spec kind {kind!r}")
+    return seqmodel.parse_diag(obj) if kind == "diag-bilinear" else seqmodel.parse_comp(obj)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -273,5 +275,5 @@ def decode_json(text: str, what: str = "JSON"):
         raise SpecFileError(f"invalid {what}: {exc}") from exc
 
 
-def loads_spec(text: str) -> MultiTensor | DiagBilinear | WeightedCompOp:
+def loads_spec(text: str) -> MultiTensor | DiagBilinear | WeightedCompOp | EvConstSeq:
     return parse_spec(decode_json(text))

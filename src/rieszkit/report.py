@@ -11,8 +11,8 @@ seq-demo's probe suites raise rather than report a disagreement.
 :func:`witness_from_obj` reads a printed one back for the tests and the
 benchmark, since replay reads no stored witness. The
 replay command re-encodes the parsed stored report in this compact form
-before comparing, so the indented form older versions wrote replays just
-the same.
+before comparing, so a report stored in indented form replays just the
+same.
 """
 
 from __future__ import annotations

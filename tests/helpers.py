@@ -56,7 +56,6 @@ from rieszkit.fileformat import (
     FORMAT_VERSION,
     SpecFileError,
     _check_keys,
-    _check_version,
     _int_field,
     _rational_field,
     _require_dict,
@@ -611,16 +610,14 @@ def slot_asymmetric_tensor(
 def parse_tensor_reference(obj) -> MultiTensor:
     """Tensor spec parsing by the validating route.
 
-    Each entry is checked on its own, then from_rows rejects
-    duplicates and MultiTensor() checks the shape, the ranges and drops
-    zero values; its messages are the ones the one-pass parser must keep.
+    Like parse_tensor, it reads a dict whose kind and format version
+    parse_spec has checked. Each entry is checked on its own, then
+    from_rows rejects duplicates and MultiTensor() checks the shape, the
+    ranges and drops zero values; its messages are the ones the one-pass
+    parser must keep.
     """
-    obj = _require_dict(obj, "tensor spec")
     _check_keys(obj, {"format", "kind", "m", "domain_dims", "codomain_dim", "entries"},
                 {"m", "domain_dims", "codomain_dim", "entries"}, "tensor spec")
-    _check_version(obj)
-    if obj.get("kind", "tensor") != "tensor":
-        raise SpecFileError(f"kind {obj['kind']!r} does not describe a tensor")
     m = _int_field(obj, "m", "tensor spec")
     dims = obj["domain_dims"]
     if not isinstance(dims, list) or len(dims) != m or not all(

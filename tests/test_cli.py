@@ -124,17 +124,19 @@ def loaded_after(argvs, modules):
 TENSOR_BUDGET = 8_800
 REPLAY_BUDGET = 8_500
 ARENS_BUDGET = 10_600
-SEQ_DEMO_BUDGET = 11_250
+SEQ_DEMO_BUDGET = 11_100
 
 
 def test_tensor_commands_import_only_what_they_run(tmp_path):
     # Structural, not timed: start-up cost is the modules a process imports
     # (and, without cached bytecode, compiles), so tensor subcommands must not
     # pull in the Arens, sequence-model or replay layers, or dataclasses'
-    # inspect chain, and stay within their compile budget.
+    # inspect chain, and stay within their compile budget. A sequence spec
+    # is refused by its kind alone, so refusing it loads no sequence model.
     report = tmp_path / "report.json"
     report.write_bytes(run("check-dp", fixture("t_diag.json"), "--json").stdout)
     argvs = [
+        ["check-dp", str(fixture("d_ones.json"))],
         ["check-dp", str(fixture("t_diag.json"))],
         ["rank", str(fixture("t_vector_dp.json"))],
         ["modulus", str(fixture("t_m3.json"))],
@@ -143,9 +145,9 @@ def test_tensor_commands_import_only_what_they_run(tmp_path):
     ]
     heavy = ["rieszkit.arens", "rieszkit.seqmodel", "rieszkit.replay", "dataclasses"]
     got = loaded_after(argvs, heavy)
-    assert got["codes"] == [1, 0, 0, 0, 0]
+    assert got["codes"] == [2, 1, 0, 0, 0, 0]
     # the replay of a check-dp report adds its own module, and nothing else
-    assert got["loaded"] == [[], [], [], [], ["rieszkit.replay"]]
+    assert got["loaded"] == [[], [], [], [], [], ["rieszkit.replay"]]
     *tensor, replay = got["nodes"]
     assert max(tensor) <= TENSOR_BUDGET and replay <= REPLAY_BUDGET, got["nodes"]
 
@@ -584,22 +586,28 @@ def test_json_past_decoder_limits_is_an_input_error(tmp_path, capsys, argv, text
     ids=["superscript", "arabic-indic", "5000-digits", "4300-digits", "leading-zero"],
 )
 @pytest.mark.parametrize(
-    "argv, spec",
+    "argv, spec, named",
     [
-        (["seq-demo", "--weight-file"], lambda key: {"exceptions": {key: "2"}, "tail": "1"}),
-        (["check-dp"], lambda key: {"kind": "weighted-comp", "weight": {"tail": "1"}, "table": {key: 1}}),
+        (["seq-demo", "--weight-file"], lambda key: {"exceptions": {key: "2"}, "tail": "1"}, None),
+        (
+            ["check-dp"],
+            lambda key: {"kind": "weighted-comp", "weight": {"tail": "1"}, "table": {key: 1}},
+            "check-dp takes a tensor spec, not 'weighted-comp'",
+        ),
     ],
     ids=["seq-demo", "check-dp"],
 )
-def test_bad_index_key_is_an_input_error(tmp_path, capsys, key, argv, spec):
+def test_bad_index_key_is_an_input_error(tmp_path, capsys, key, argv, spec, named):
     # int() ran outside the input-error net (exit 3), "٣" was read as index 3,
-    # and seq-demo could not write the rank certificate past 10**4300 - 1 (exit 3)
+    # and seq-demo could not write the rank certificate past 10**4300 - 1 (exit 3).
+    # check-dp refuses the weighted-comp kind before it reads the table, so its
+    # error names the kind; tests/test_fileformat.py reads such tables.
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec(key)))
     for mode in ([], ["--json"]):
         assert cli.main(argv + [str(path)] + mode) == 2
         out, err = capsys.readouterr()
-        assert out == "" and repr(key)[:21] in err and "internal" not in err
+        assert out == "" and (named or repr(key)[:21]) in err and "internal" not in err
 
 
 @pytest.mark.parametrize("keys", [("1", "01"), ("01", "1")], ids=["zero-padded-last", "zero-padded-first"])
@@ -611,6 +619,29 @@ def test_zero_padded_index_key_does_not_collapse(tmp_path, capsys, keys):
         assert cli.main(["seq-demo", "--weight-file", str(path)] + mode) == 2
         out, err = capsys.readouterr()
         assert out == "" and "'01'" in err and "leading zero" in err
+
+
+@pytest.mark.parametrize("command", ["check-dp", "modulus", "factorize", "rank", "arens"])
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        (fixture("d_ones.json").read_text(), "'diag-bilinear'"),
+        (fixture("c_weighted.json").read_text(), "'weighted-comp'"),
+        ('{"exceptions": {"2": "1/2"}, "tail": "1"}', "'sequence'"),
+        ('{"kind": [], "m": 2}', "[]"),
+    ],
+    ids=["diag-bilinear", "weighted-comp", "sequence", "unhashable"],
+)
+def test_tensor_command_names_a_spec_of_another_kind(tmp_path, capsys, command, text, kind):
+    # a wrong kind is an input error naming the command and the kind; an
+    # unhashable kind is one too, not a TypeError from a set or dict lookup
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    for mode in ([], ["--json"]):
+        assert cli.main([command, str(path)] + mode) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {command} takes a tensor spec, not {kind}\n"
 
 
 @pytest.mark.parametrize("name, kind", [("c_weighted", "weighted-comp"), ("t_m3", "tensor")])
