@@ -13,15 +13,15 @@ goes to stderr only.
 This module holds the parser, the exit-code contract, the report
 builders of the four tensor commands that share one code path (check-dp,
 modulus, factorize, rank), the options each command records
-(:data:`RECORDED_OPTIONS`) and :func:`build`, the one path from a
-command, its input file and those options to its report: the command
-line takes it, and so does ``replay`` with a stored report's command and
-options. Every other builder lives beside the code it runs and is
-imported only by the subcommand that runs it, so a process compiles no
-source it does not execute: ``arens`` in :mod:`rieszkit.arens`,
-``seq-demo`` in :mod:`rieszkit.seqmodel` and ``replay`` in
-:mod:`rieszkit.replay`. :func:`main` alone turns a report's ``ok``
-into exit code 0 or 1.
+(:data:`RECORDED_OPTIONS`) and :func:`build`, the one reader of spec
+files, seq-demo's weight file too, and the one path from a command, its
+input file and those options to its report: the command line takes it,
+and so does ``replay`` with a stored report's command and options. Every
+other builder lives beside the code it runs and is imported only by the
+subcommand that runs it, so a process compiles no source it does not
+execute: ``arens`` in :mod:`rieszkit.arens`, ``seq-demo`` in
+:mod:`rieszkit.seqmodel` and ``replay`` in :mod:`rieszkit.replay`.
+:func:`main` alone turns a report's ``ok`` into exit code 0 or 1.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .fileformat import (
     decode_utf8,
     parse_spec,
     read_bytes,
-    seq_to_obj,
     tensor_to_obj,
 )
 from .operators import (
@@ -123,35 +122,31 @@ RECORDED_OPTIONS = {
 def build(command: str, path: str | None, options: dict) -> dict:
     """The report of ``command`` on the input file at ``path`` with ``options``.
 
-    ``options`` are the command's :data:`RECORDED_OPTIONS`, from the
-    command line or from a stored report's ``detail.args``. Each builder
-    returns only its checks, witness, cost and detail; the command, the
-    input digest and ``detail.args`` are added here. seq-demo also records
-    the weight it ran with, and without a weight file its input digest is
-    that of its recorded args. Builders are looked up per call, so a test
-    can swap one.
+    The one reader of spec files: the file's operator, parsed with the kinds
+    ``command`` takes, or None without a file, goes to the builder with
+    ``options`` (:data:`RECORDED_OPTIONS`), which then join its
+    ``detail.args``. The input digest is of the file, or else of those args.
+    Builders are looked up per call, so a test can swap one.
     """
-    args = dict(options)
+    kinds = ("tensor",)
     if command == "seq-demo":
-        from .seqmodel import _report_seq_demo as builder, _seq_demo_weight
-
-        operand, data = _seq_demo_weight(path)
-        args["weight"] = seq_to_obj(operand)
+        kinds = ("sequence", "diag-bilinear")
+        from .seqmodel import _report_seq_demo as builder
+    elif command == "arens":
+        from .arens import _report_arens as builder
     else:
-        data = read_bytes(path)
-        operand = parse_spec(decode_json(decode_utf8(data)), ("tensor",), command)
-        if command == "arens":
-            from .arens import _report_arens as builder
-        else:
-            builder = {
-                "check-dp": _report_check_dp,
-                "modulus": _report_modulus,
-                "factorize": _report_factorize,
-                "rank": _report_rank,
-            }[command]
-    digest = input_digest(canonical_json(args).encode() if data is None else data)
-    report = {"command": command, "input_digest": digest, **builder(operand, **options)}
-    report.setdefault("detail", {})["args"] = args
+        builder = {
+            "check-dp": _report_check_dp,
+            "modulus": _report_modulus,
+            "factorize": _report_factorize,
+            "rank": _report_rank,
+        }[command]
+    data = None if path is None else read_bytes(path)
+    operand = None if data is None else parse_spec(decode_json(decode_utf8(data)), kinds, command)
+    report = {"command": command, **builder(operand, **options)}
+    args = report.setdefault("detail", {}).setdefault("args", {})
+    args.update(options)
+    report["input_digest"] = input_digest(canonical_json(args).encode() if data is None else data)
     return report
 
 

@@ -237,13 +237,15 @@ def parse_spec(
     field, else "sequence". A kind outside ``kinds`` is refused before
     anything else is read, as ``what takes a ... spec``; it is compared
     by tuple membership, so an unhashable one is refused too. Every kind
-    but a bare sequence carries a format version.
+    but a bare sequence, which carries no "kind" field, has a version.
     """
     obj = _require_dict(obj, "spec file")
-    kind = obj["kind"] if "kind" in obj else "tensor" if "m" in obj else "sequence"
+    kind = obj.get("kind", "tensor" if "m" in obj else "sequence")
     if kind not in kinds:
         raise SpecFileError(f"{what} takes a {' or a '.join(kinds)} spec, not {kind!r}")
     if kind == "sequence":
+        if "kind" in obj:
+            raise SpecFileError('a sequence spec is a bare sequence: it carries no "kind" field')
         return parse_seq(obj, "weight")
     version = obj.get("format", FORMAT_VERSION)
     if not _is_int(version) or version != FORMAT_VERSION:  # true and 1.0 equal 1 too

@@ -34,9 +34,9 @@ rank of the diagonal map in closed form (:func:`diag_lattice_rank`).
 
 The command line front end's sequence-model code lives here too: the
 parsers of the two sequence spec kinds (:func:`parse_diag`,
-:func:`parse_comp`) and the seq-demo report (:func:`_seq_demo_weight`,
-:func:`_report_seq_demo`). So only seq-demo, a replay of its report and
-reading a sequence spec load this module.
+:func:`parse_comp`) and the seq-demo report (:func:`_report_seq_demo`, on
+the weight file :func:`rieszkit.cli.build` read). So only seq-demo, a
+replay of its report and reading a sequence spec load this module.
 """
 
 from __future__ import annotations
@@ -50,12 +50,9 @@ from .fileformat import (
     SpecFileError,
     _check_keys,
     _require_dict,
-    decode_json,
-    decode_utf8,
     index_key,
     parse_seq,
-    parse_spec,
-    read_bytes,
+    seq_to_obj,
 )
 from .operators import ShapeError, _contract_entries
 from .rational import as_fraction
@@ -480,18 +477,8 @@ def parse_comp(obj: dict) -> WeightedCompOp:
     return WeightedCompOp(parse_seq(obj["weight"], "weight"), table, shift)
 
 
-def _seq_demo_weight(path: str | None) -> tuple[EvConstSeq, bytes | None]:
-    """The weight of a seq-demo run and the bytes of its weight file (None: no file)."""
-    if path is None:
-        return EvConstSeq.constant(1), None
-    data = read_bytes(path)
-    obj = decode_json(decode_utf8(data, "weight file"))
-    weight = parse_spec(obj, ("sequence", "diag-bilinear"), "--weight-file")
-    return (weight.weight if isinstance(weight, DiagBilinear) else weight), data
-
-
-def _report_seq_demo(weight: EvConstSeq, seed: int) -> dict:
-    """The paper's theorem on the c0 model, for the diagonal map of ``weight``.
+def _report_seq_demo(operand: EvConstSeq | DiagBilinear | None, seed: int) -> dict:
+    """The paper's theorem on the c0 model, for the diagonal map of a weight.
 
     The DP checks and the lattice rank are decided exactly over finite
     patterns. The two seeded probe suites compare the library's closed
@@ -499,6 +486,9 @@ def _report_seq_demo(weight: EvConstSeq, seed: int) -> dict:
     disagreement is a library fault, raised by :func:`_check_probes` (exit
     3, no report), and a report only ever holds passing suites.
     """
+    if operand is None:
+        operand = EvConstSeq.constant(1)
+    weight = operand.weight if isinstance(operand, DiagBilinear) else operand
     rng = random.Random(seed)
     probes = sum(
         _check_probes(
@@ -531,7 +521,8 @@ def _report_seq_demo(weight: EvConstSeq, seed: int) -> dict:
         check("slotwise-dp", reads_one_coordinate(comp_rows(WeightedCompOp(weight)))),
         check("biadjoint-extends-apply", True, samples=20),
     ]
-    return build_report(checks, seed=seed, cost={"probes": probes})
+    detail = {"args": {"weight": seq_to_obj(weight)}}
+    return build_report(checks, seed=seed, cost={"probes": probes}, detail=detail)
 
 
 # Kept only because perfbench/traced.py imports these names: each answers by

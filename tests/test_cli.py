@@ -67,10 +67,15 @@ def test_non_utf8_inputs_exit_2(tmp_path):
     report["input_digest"] = input_digest(bad.read_bytes())  # so replay gets to decoding
     stored = tmp_path / "report.json"
     stored.write_text(json.dumps(report))
+    errors = {}
     for args in (("check-dp", bad), ("replay", stored, bad), ("seq-demo", "--weight-file", bad)):
         result = run(*args)
         assert result.returncode == 2, args
         assert b"Traceback" not in result.stderr, args
+        errors[args[0]] = result.stderr
+    # one reader: a weight file and a tensor spec fail the same way
+    assert errors["seq-demo"] == errors["check-dp"]
+    assert errors["check-dp"].startswith(b"error: spec file is not UTF-8 text: ")
 
 
 def test_unexpected_error_exits_3(monkeypatch, capsys):
@@ -124,7 +129,7 @@ def loaded_after(argvs, modules):
 TENSOR_BUDGET = 8_800
 REPLAY_BUDGET = 8_500
 ARENS_BUDGET = 10_600
-SEQ_DEMO_BUDGET = 11_100
+SEQ_DEMO_BUDGET = 11_000
 
 
 def test_tensor_commands_import_only_what_they_run(tmp_path):
@@ -484,6 +489,30 @@ def test_seq_demo_exact_rank(capsys, name, rank):
         assert f"hypothesis=finite-rank, rank={rank}" in human
 
 
+# A weight with a nonzero tail, written as a bare sequence: the weight file
+# kind the benchmark's rank_seq workload sends (every d_* fixture is a
+# diag-bilinear spec). BARE_WEIGHT_REPORT_DIGEST is the sha256 of its
+# seq-demo --seed 7 --json report.
+BARE_WEIGHT = {"exceptions": {"3": "-2/5", "17": "4"}, "tail": "3/2"}
+BARE_WEIGHT_REPORT_DIGEST = "110b28a9d7efaf6fdb4b8f2c487e136dae64c362413245ee6ea12b274c1ccdd3"
+
+
+def test_bare_sequence_weight_file_report_is_pinned(tmp_path, capsys):
+    # the two kinds of one weight give one report but for the file's digest
+    bare, diag = tmp_path / "bare.json", tmp_path / "diag.json"
+    bare.write_text(json.dumps(BARE_WEIGHT))
+    diag.write_text(json.dumps({"format": 1, "kind": "diag-bilinear", "weight": BARE_WEIGHT}))
+    outs = []
+    for path in (bare, diag):
+        assert cli.main(["seq-demo", "--seed", "7", "--weight-file", str(path), "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == BARE_WEIGHT_REPORT_DIGEST
+    first, second = map(json.loads, outs)
+    assert first.pop("input_digest") == input_digest(bare.read_bytes())
+    assert second.pop("input_digest") == input_digest(diag.read_bytes())
+    assert first == second
+
+
 def _assert_probe_fault(capsys, name, argv):
     # a probe suite compares the library with itself: a disagreement is an
     # internal error (exit 3, no report), never a verdict with a witness
@@ -628,9 +657,10 @@ def test_zero_padded_index_key_does_not_collapse(tmp_path, capsys, keys):
         (fixture("d_ones.json").read_text(), "'diag-bilinear'"),
         (fixture("c_weighted.json").read_text(), "'weighted-comp'"),
         ('{"exceptions": {"2": "1/2"}, "tail": "1"}', "'sequence'"),
+        ('{"kind": "sequence", "tail": "1"}', "'sequence'"),
         ('{"kind": [], "m": 2}', "[]"),
     ],
-    ids=["diag-bilinear", "weighted-comp", "sequence", "unhashable"],
+    ids=["diag-bilinear", "weighted-comp", "sequence", "explicit-sequence", "unhashable"],
 )
 def test_tensor_command_names_a_spec_of_another_kind(tmp_path, capsys, command, text, kind):
     # a wrong kind is an input error naming the command and the kind; an
@@ -651,7 +681,17 @@ def test_weight_file_of_another_kind_is_named(capsys, name, kind):
         assert cli.main(["seq-demo", "--weight-file", str(fixture(f"{name}.json"))] + mode) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: --weight-file takes a sequence or a diag-bilinear spec, not {kind!r}\n"
+        assert err == f"error: seq-demo takes a sequence or a diag-bilinear spec, not {kind!r}\n"
+
+
+def test_weight_file_with_a_sequence_kind_names_the_rule(tmp_path, capsys):
+    # a bare sequence has no kind field; the error blamed the key: "unknown keys in weight: ['kind']"
+    path = tmp_path / "weight.json"
+    path.write_text('{"kind": "sequence", "tail": "1"}')
+    for mode in ([], ["--json"]):
+        assert cli.main(["seq-demo", "--weight-file", str(path)] + mode) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == 'error: a sequence spec is a bare sequence: it carries no "kind" field\n'
 
 
 def test_zero_padded_witness_slot_is_not_reproduced(tmp_path, capsys):

@@ -13,6 +13,7 @@ from rieszkit.fileformat import (
     canonical_json,
     loads_spec,
     parse_seq,
+    parse_spec,
     parse_tensor,
     seq_to_obj,
 )
@@ -95,6 +96,14 @@ def test_tensor_without_kind_is_recognized():
 def test_malformed_specs_rejected(text):
     with pytest.raises(SpecFileError):
         loads_spec(text)
+
+
+def test_explicit_sequence_kind_is_refused_by_name():
+    # a bare sequence has no kind field; this used to fail on "kind" as an unknown key
+    with pytest.raises(SpecFileError, match='^a sequence spec is a bare sequence: it carries no "kind" field$'):
+        loads_spec('{"kind": "sequence", "tail": "1"}')
+    with pytest.raises(SpecFileError, match="^check-dp takes a tensor spec, not 'sequence'$"):
+        parse_spec({"kind": "sequence", "tail": "1"}, ("tensor",), "check-dp")
 
 
 def test_seq_json_round_trip():
