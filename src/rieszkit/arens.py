@@ -5,9 +5,10 @@ extension is computed against each dual atom y' of the codomain by a
 chain of explicit steps:
 
 1. form the scalar m-form y' o A,
-2. permute its slots into the order rho(1), ..., rho(m),
-3. repeatedly read the first remaining slot as a dual-vector-valued map
-   and collapse it with the bidual argument for that slot, rho(1) first.
+2. for l = 1, ..., m, read slot rho(l) of what remains as a
+   dual-vector-valued map and collapse it with the bidual argument for
+   that slot, in place: the form keeps its other slots in ascending order
+   and no permuted copy is built (:func:`_contract_slot`).
 
 After m contractions a scalar remains (:func:`arens_evaluate`). Every
 space here is Q^d, which is reflexive, so each extension of a tensor is
@@ -19,9 +20,9 @@ returns the input, and the permutation shows only in the trace.
 The trace runs the chain on all-ones biduals instead. Once the slots of a
 set S are contracted that way, the form no longer depends on the order
 they were taken in, so the traces of all m! permutations share the 2^m
-subset marginals of each slice (:func:`_marginal`, Yates' recursion for
-2^m factorial tables). A chain is the m + 1 marginals along the prefixes
-of rho (:func:`chain_masks`). Every form, from a permuted slice to a
+subset marginals of each slice (:func:`trace_marginals`, Yates' recursion
+for 2^m factorial tables). A chain is the m + 1 marginals along the
+prefixes of rho (:func:`chain_masks`). Every form, from a slice to a
 marginal, is a plain dict from index tuples to nonzero Fractions; a
 marginal keeps its remaining slots in ascending order, so level l of rho's
 chain reads them in the order rho(l + 1), ..., rho(m).
@@ -44,7 +45,7 @@ import itertools
 import operator
 import re
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .fileformat import SpecFileError, tensor_to_obj
 from .operators import MultiTensor, ShapeError, _contract_entries
@@ -57,17 +58,25 @@ _ZERO = Fraction(0)
 _Form = dict[tuple[int, ...], Fraction]  # a sparse form: index tuple -> nonzero value
 
 
-class Permutation:
-    """Permutation of m slots, stored 0-based."""
+class Permutation(tuple):
+    """Permutation of m slots: the tuple of its 0-based images.
 
-    __slots__ = ("_images",)
+    ``rho(i)`` and ``rho[i]`` are both the image of slot i and ``rho.m`` is
+    the number of slots. Being a tuple, a Permutation equals, and hashes
+    like, the plain tuple of its images.
+    """
 
-    def __init__(self, images: Sequence[int]) -> None:
+    __slots__ = ()
+
+    def __new__(cls, images: Sequence[int]) -> "Permutation":
         imgs = tuple(map(operator.index, images))
         m = len(imgs)
         if sorted(imgs) != list(range(m)) or m == 0:
             raise ValueError(f"not a permutation of 0..{m - 1}: {imgs}")
-        self._images = imgs
+        return super().__new__(cls, imgs)
+
+    m = property(tuple.__len__)
+    __call__ = tuple.__getitem__
 
     @classmethod
     def identity(cls, m: int) -> "Permutation":
@@ -111,22 +120,9 @@ class Permutation:
                 images[a - 1] = b - 1
         return cls(images)
 
-    @property
-    def m(self) -> int:
-        return len(self._images)
-
-    def __call__(self, i: int) -> int:
-        return self._images[i]
-
     def one_line(self) -> tuple[int, ...]:
         """Images as 1-based one-line notation, for display."""
-        return tuple(i + 1 for i in self._images)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self._images == other._images
-
-    def __hash__(self) -> int:
-        return hash(self._images)
+        return tuple(i + 1 for i in self)
 
     def __repr__(self) -> str:
         return f"Permutation{self.one_line()}"
@@ -134,8 +130,7 @@ class Permutation:
 
 def all_permutations(m: int) -> Iterator[Permutation]:
     """All m! slot permutations in lexicographic order."""
-    for images in itertools.permutations(range(m)):
-        yield Permutation(images)
+    return map(Permutation, itertools.permutations(range(m)))
 
 
 class ArensResult(NamedTuple):
@@ -180,8 +175,8 @@ def chain_masks(rho: Permutation) -> list[int]:
     contracted) and adds rho(1), then rho(2), ..., up to all m slots.
     """
     masks = [0]
-    for l in range(rho.m):
-        masks.append(masks[-1] | 1 << rho(l))
+    for slot in rho:
+        masks.append(masks[-1] | 1 << slot)
     return masks
 
 
@@ -189,17 +184,17 @@ def _one(_: int) -> int:
     return 1
 
 
-def _marginal(memo: dict[int, _Form], contracted: int, slot: int) -> None:
-    """Add the slice marginal over the slots of ``contracted`` plus ``slot`` to ``memo``.
+def _contract_slot(
+    form: _Form, contracted: int, slot: int, coefficient: Callable[[int], object]
+) -> _Form:
+    """Contract the original ``slot`` of a form against ``coefficient``.
 
-    ``memo`` maps a contracted-slot bitmask S to the slice form contracted
-    against all-ones in the slots of S, with its remaining slots in
-    ascending order. It starts as {0: slice entries}, and ``contracted``
-    must already be in it: the new marginal is one contraction of that
-    parent in ``slot``.
+    The slots of the bitmask ``contracted`` are already gone from ``form``,
+    which keeps its remaining slots in ascending order, so ``slot`` sits at
+    its rank among them; the result keeps that order too.
     """
     position = slot - bin(contracted & ((1 << slot) - 1)).count("1")
-    memo[contracted | 1 << slot] = _contract_entries(memo[contracted], _one, position)
+    return _contract_entries(form, coefficient, position)
 
 
 def trace_marginals(
@@ -216,14 +211,14 @@ def trace_marginals(
     """
     steps: dict[int, tuple[int, int]] = {}  # marginal -> (parent, slot contracted)
     for rho in rhos:
-        masks = chain_masks(rho)
-        for l in range(rho.m):
-            steps[masks[l + 1]] = (masks[l], rho(l))
+        for parent, slot in zip(chain_masks(rho), rho):
+            steps[parent | 1 << slot] = (parent, slot)
     out = {}
     for k, slice_entries in slices.items():
         memo = {0: slice_entries}
-        for mask in sorted(steps):  # a parent's mask is below its child's
-            _marginal(memo, *steps[mask])
+        # a parent's mask is below its child's
+        for mask, (parent, slot) in sorted(steps.items()):
+            memo[mask] = _contract_slot(memo[parent], parent, slot, _one)
         out[k] = memo
     return out
 
@@ -244,12 +239,11 @@ def arens_evaluate(
             raise ShapeError(f"slot {i}: bidual dim {x.dim}, expected {d}")
     if rho.m != tensor.m:
         raise ShapeError(f"permutation arity {rho.m} against tensor arity {tensor.m}")
-    order = [rho(l) for l in range(rho.m)]
+    masks = chain_masks(rho)
     out = []
-    for slice_entries in tensor.slices().values():
-        form = {tuple([idx[i] for i in order]): v for idx, v in slice_entries.items()}
-        for slot in order:
-            form = _contract_entries(form, biduals[slot].__getitem__)
+    for form in tensor.slices().values():
+        for contracted, slot in zip(masks, rho):
+            form = _contract_slot(form, contracted, slot, biduals[slot].__getitem__)
         out.append(form.get((), _ZERO))
     return FinVector(out)
 

@@ -21,11 +21,12 @@ chain and the sequence model run it.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .rational import as_fraction, ceil_fraction
+from .rational import as_fraction
 from .vectors import FinVector
 
 MAX_ARITY = 4
@@ -310,7 +311,7 @@ class MultiTensor:
         """An integer beyond the Cauchy root bound of any polynomial whose
         nonzero coefficients are among ``values`` (at least one, all nonzero)."""
         moduli = [abs(v) for v in values]
-        return 1 + ceil_fraction(sum(moduli) / min(moduli))
+        return 1 + math.ceil(sum(moduli) / min(moduli))
 
     def _build_witness(
         self,
@@ -395,10 +396,9 @@ def _contract_entries(
     dual-vector-valued map in the index at ``position`` (the first by
     default), written sparsely: out[rest] = sum_j coefficient(j) *
     entries[idx], where idx has j at ``position`` and rest elsewhere. It is
-    the only contraction in the package: the Arens chain
-    (:func:`rieszkit.arens.arens_evaluate`) runs it over the first slot,
-    the Arens trace marginals (:func:`rieszkit.arens._marginal`) over any
-    slot, and the sequence model (:func:`rieszkit.seqmodel.diag_arens_pair`)
+    the only contraction in the package: the Arens chain and its trace
+    marginals run it over any slot (:func:`rieszkit.arens._contract_slot`),
+    and the sequence model (:func:`rieszkit.seqmodel.diag_arens_pair`)
     over sequence positions.
     """
     out: dict[tuple, Fraction] = {}

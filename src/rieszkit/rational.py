@@ -70,7 +70,3 @@ def as_fraction(value) -> Fraction:
         return parse_rational(value)
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
-
-def ceil_fraction(value: Fraction) -> int:
-    """Smallest integer >= value."""
-    return -((-value.numerator) // value.denominator)

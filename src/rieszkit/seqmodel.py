@@ -44,11 +44,12 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .fileformat import (
     SpecFileError,
     _check_keys,
+    _is_int,
     _require_dict,
     index_key,
     parse_seq,
@@ -117,9 +118,6 @@ class EvConstSeq(CoordinatewiseLattice):
     def exceptions(self) -> dict[int, Fraction]:
         return dict(self._exc)
 
-    def exception_indices(self) -> list[int]:
-        return sorted(self._exc)
-
     def max_exception_index(self) -> int:
         return max(self._exc, default=0)
 
@@ -171,28 +169,17 @@ def pair(u: EvConstSeq, f: EvConstSeq) -> Fraction:
     return sum((u.value_at(k) * c for k, c in f.exceptions.items()), _ZERO)
 
 
-class DiagBilinear:
+class DiagBilinear(NamedTuple):
     """The diagonal bilinear map A(x, y) = (w_n x_n y_n) for a weight w.
 
-    Disjointness preserving for every w, positive iff w is, and its range
-    contains w_n e_n for every n, so no finite-rank sublattice can hold the
-    range once infinitely many weights are nonzero.
+    A one-field named tuple of the weight, so two maps are equal exactly
+    when their weights are. Disjointness preserving for every w, positive
+    iff w is, and its range contains w_n e_n for every n, so no
+    finite-rank sublattice can hold the range once infinitely many weights
+    are nonzero.
     """
 
-    __slots__ = ("_weight",)
-
-    def __init__(self, weight: EvConstSeq) -> None:
-        self._weight = weight
-
-    @property
-    def weight(self) -> EvConstSeq:
-        return self._weight
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiagBilinear) and self._weight == other._weight
-
-    def __repr__(self) -> str:
-        return f"DiagBilinear({self._weight!r})"
+    weight: EvConstSeq
 
 
 def diag_apply(op: DiagBilinear, x: EvConstSeq, y: EvConstSeq) -> EvConstSeq:
@@ -240,7 +227,7 @@ def diag_arens(op: DiagBilinear, u: EvConstSeq, v: EvConstSeq) -> EvConstSeq:
     comparison keeps the closed form tied to the definition.
     """
     _check_probes(diag_probe_pairs(op, u, v), "diag-extension-agrees")
-    return op.weight.pointwise_mul(u).pointwise_mul(v)
+    return diag_apply(op, u, v)
 
 
 def _check_probes(pairs: Iterator[tuple[int, Fraction, Fraction]], name: str) -> int:
@@ -261,7 +248,7 @@ def diag_probe_pairs(
     index, each read through e_k* in both slot orders; past the last
     exception every coordinate of both sides equals the tail one.
     """
-    closed = op.weight.pointwise_mul(u).pointwise_mul(v)
+    closed = diag_apply(op, u, v)
     probes = sorted(
         set(op.weight.exceptions) | set(u.exceptions) | set(v.exceptions)
     )
@@ -328,7 +315,7 @@ class WeightedCompOp:
 def comp_apply(op: WeightedCompOp, x: EvConstSeq) -> EvConstSeq:
     """(Tx)_k = w_k x_{sigma(k)}; the tail is w_tail * x_tail."""
     candidates = set(op.weight.exceptions) | set(op.table)
-    for e in x.exception_indices():
+    for e in x.exceptions:
         k = e - op.shift
         if k >= 1 and k not in op.table:
             candidates.add(k)
@@ -468,11 +455,11 @@ def parse_comp(obj: dict) -> WeightedCompOp:
     table: dict[int, int] = {}
     for key, target in table_obj.items():
         index = index_key(key, "table index")
-        if not isinstance(target, int) or isinstance(target, bool) or target < 1:
+        if not _is_int(target) or target < 1:
             raise SpecFileError(f"table target {target!r} must be a 1-based integer")
         table[index] = target
     shift = obj.get("shift", 0)
-    if not isinstance(shift, int) or isinstance(shift, bool) or shift < 0:
+    if not _is_int(shift) or shift < 0:
         raise SpecFileError(f"shift must be a nonnegative integer, got {shift!r}")
     return WeightedCompOp(parse_seq(obj["weight"], "weight"), table, shift)
 

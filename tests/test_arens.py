@@ -52,6 +52,10 @@ def test_permutation_basics():
     assert Permutation.theta(1).one_line() == (1,)
     assert len(list(all_permutations(3))) == 6
     assert list(all_permutations(2)) == [Permutation([0, 1]), Permutation([1, 0])]  # lexicographic
+    # a Permutation is the tuple of its 0-based images
+    assert Permutation([1, 0]) == (1, 0) and hash(Permutation([1, 0])) == hash((1, 0))
+    assert all(rho[i] == rho(i) for i in range(3)) and rho.m == len(rho) == 3
+    assert repr(rho) == "Permutation(2, 1, 3)"
 
 
 def test_from_cycles():
@@ -223,9 +227,10 @@ def test_restriction_law_asymmetric_dims():
 
 
 def test_evaluate_on_embedded_args_is_apply():
+    # at m = 4 a slot's in-place position is furthest from its step in rho's chain
     rng = random.Random(3)
     for _ in range(40):
-        m = rng.choice([1, 2, 3])
+        m = rng.choice([1, 2, 3, 4])
         dims = tuple(rng.choice([2, 3]) for _ in range(m))
         t = random_tensor(rng, dims, rng.choice([1, 2]), density=0.6)
         args = [random_vector(rng, d) for d in dims]

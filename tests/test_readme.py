@@ -1,0 +1,42 @@
+"""The examples in README.md run and say what the code does."""
+
+import pathlib
+import re
+
+from rieszkit import cli
+from rieszkit.fileformat import loads_spec
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```$", README, re.M | re.S)
+
+
+def test_python_blocks_run():
+    # the blocks build on each other, so they share one namespace
+    found = blocks("python")
+    assert len(found) >= 3
+    namespace = {}
+    for source in found:
+        exec(compile(source, "README.md", "exec"), namespace)
+
+
+def test_json_blocks_are_specs():
+    # one spec per block: a block of two objects is not JSON
+    found = blocks("json")
+    assert len(found) >= 4
+    for source in found:
+        loads_spec(source)
+
+
+def test_check_dp_transcript(capsys, monkeypatch):
+    command = "$ rieszkit check-dp tests/fixtures/t_diag.json\n"
+    (transcript,) = [b for b in blocks("") if b.startswith(command)]
+    stdout, code = re.fullmatch(
+        re.escape(command) + r"(.*)\$ echo \$\?\n(\d+)\n", transcript, re.S
+    ).groups()
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["check-dp", "tests/fixtures/t_diag.json"]) == int(code) == 1
+    assert capsys.readouterr().out == stdout

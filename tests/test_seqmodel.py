@@ -150,6 +150,11 @@ def test_diag_apply_examples():
     assert diag_apply(op, ONES, ONES) == ONES
     u, v = EvConstSeq.atom(1), EvConstSeq({1: 0}, 1)
     assert diag_apply(op, u, v).is_zero()
+    # a DiagBilinear is the named tuple of its weight
+    w = EvConstSeq({2: 5}, 1)
+    assert DiagBilinear(w).weight is w
+    assert DiagBilinear(w) == DiagBilinear(EvConstSeq({2: 5}, 1)) and DiagBilinear(w) != op
+    assert len({DiagBilinear(w), DiagBilinear(EvConstSeq({2: 5}, 1)), op}) == 2
 
 
 def test_diag_arens_examples():
