@@ -97,7 +97,9 @@ class Permutation(tuple):
         Cycle points are ASCII digits without a leading zero, so "(1 ٢)",
         "(+1 2)", "(1 2_0)" and "(01 2)" are errors rather than other
         spellings of a point: the report echoes ``--perm`` as given, so
-        each would be another digest for the same run.
+        each would be another digest for the same run. A permutation
+        still has several spellings: "(1 2)" and "(2 1)" parse to one
+        transposition, and "()" and "(1)" to the identity.
         """
         if not re.fullmatch(r"\s*(\([^()]*\)\s*)+", text):
             raise ValueError(f"not cycle notation: {text!r}")

@@ -245,7 +245,3 @@ def main(argv=None) -> int:
         return 3
     _note(f"elapsed: {time.monotonic() - started:.3f}s")
     return 0 if report["ok"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

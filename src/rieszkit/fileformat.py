@@ -137,8 +137,9 @@ def parse_tensor(obj) -> MultiTensor:
     ``obj`` is a dict whose envelope (kind and format version)
     :func:`parse_spec` has read. The shape is checked first; then each
     entry gets its type, 1-based, range and duplicate checks, and each
-    distinct rational literal is parsed once per file. Entries given as
-    zero are checked like the others and then dropped.
+    distinct rational literal is parsed once per file. Errors quote the
+    file's own 1-based values. Entries given as zero are checked like the
+    others, duplicates included, and dropped in one pass at the end.
     """
     _check_keys(obj, _TENSOR_KEYS, {"m", "domain_dims", "codomain_dim", "entries"}, "tensor spec")
     m = _int_field(obj, "m", "tensor spec")
@@ -155,7 +156,6 @@ def parse_tensor(obj) -> MultiTensor:
     except ShapeError as exc:
         raise SpecFileError(str(exc)) from exc
     entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    zeros: set[tuple[int, tuple[int, ...]]] = set()
     literals: dict[str, Fraction] = {}
     for pos, entry in enumerate(obj["entries"]):
         if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
@@ -174,16 +174,15 @@ def parse_tensor(obj) -> MultiTensor:
         if value is None:
             value = literals[raw] = _rational_field(raw, f"entries[{pos}].value")
         key = (out - 1, tuple([i - 1 for i in idx]))
-        if key in entries or key in zeros:
-            raise SpecFileError(f"duplicate entry for out={key[0]}, idx={key[1]}")
+        if key in entries:
+            raise SpecFileError(f"entries[{pos}]: duplicate entry for out={out}, idx={tuple(idx)}")
         if out > codomain:
-            raise SpecFileError(f"output coordinate {key[0]} out of range 0..{codomain - 1}")
+            raise SpecFileError(f"entries[{pos}]: output coordinate {out} out of range 1..{codomain}")
         if not all(map(operator.le, idx, dims)):
-            raise SpecFileError(f"index tuple {key[1]} out of range for dims {dims}")
-        if value:
-            entries[key] = value
-        else:
-            zeros.add(key)
+            raise SpecFileError(f"entries[{pos}]: index tuple {tuple(idx)} out of range for dims {dims}")
+        entries[key] = value
+    if not all(entries.values()):
+        entries = {key: value for key, value in entries.items() if value}
     return MultiTensor._derived(dims, codomain, entries)
 
 

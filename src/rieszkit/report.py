@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .fileformat import index_key
+from .fileformat import _int_field, index_key
 from .operators import DPVerdict, DPWitness
 from .rational import format_rational, parse_rational
 from .vectors import FinVector
@@ -40,13 +40,6 @@ def vector_from_obj(obj) -> FinVector:
     return FinVector([parse_rational(c) for c in obj])
 
 
-def _index_from_obj(obj: dict, key: str) -> int:
-    value = obj[key]
-    if type(value) is not int:  # exact: true and 1.0 both equal 1
-        raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
-    return value - 1
-
-
 def witness_to_obj(witness: DPWitness) -> dict:
     return {
         "out_coord": witness.out_coord + 1,
@@ -61,8 +54,8 @@ def witness_to_obj(witness: DPWitness) -> dict:
 
 def witness_from_obj(obj) -> DPWitness:
     return DPWitness(
-        out_coord=_index_from_obj(obj, "out_coord"),
-        slot=_index_from_obj(obj, "slot"),
+        out_coord=_int_field(obj, "out_coord", "witness") - 1,
+        slot=_int_field(obj, "slot", "witness") - 1,
         x=vector_from_obj(obj["x"]),
         y=vector_from_obj(obj["y"]),
         fixed=tuple(sorted(

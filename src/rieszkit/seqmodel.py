@@ -260,56 +260,37 @@ def diag_probe_pairs(
             yield k, diag_arens_pair(op, order, u, v, functional), expected
 
 
-class WeightedCompOp:
+class WeightedCompOp(
+    NamedTuple("WeightedCompOp", [("weight", EvConstSeq), ("table", dict), ("shift", int)])
+):
     """x |-> (w_k x_{sigma(k)}) where sigma is a finite table plus a shift.
 
     sigma(k) = table[k] when k is listed, k + shift otherwise. Beyond the
     table sigma is an injective shift, so adjoint and biadjoint stay inside
     the eventually constant class. Always disjointness preserving: the
     supports {k : sigma(k) = i} of the atom images are pairwise disjoint.
+
+    A named tuple of (weight, table, shift), validated on construction:
+    ``table`` is the op's own dict of 1-based indices, built from the
+    caller's mapping, and ``_replace`` validates through the constructor.
     """
 
-    __slots__ = ("_weight", "_table", "_shift")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        weight: EvConstSeq,
-        table: Mapping[int, int] | None = None,
-        shift: int = 0,
-    ) -> None:
+    def __new__(cls, weight: EvConstSeq, table: Mapping[int, int] | None = None, shift: int = 0):
         shift = operator.index(shift)
         if shift < 0:
             raise ValueError(f"shift must be >= 0, got {shift}")
-        self._weight = weight
-        self._table = {_index(k): _index(j) for k, j in (table or {}).items()}
-        self._shift = shift
+        table = {_index(k): _index(j) for k, j in (table or {}).items()}
+        return super().__new__(cls, weight, table, shift)
 
-    @property
-    def weight(self) -> EvConstSeq:
-        return self._weight
-
-    @property
-    def table(self) -> dict[int, int]:
-        return dict(self._table)
-
-    @property
-    def shift(self) -> int:
-        return self._shift
+    @classmethod
+    def _make(cls, fields: Iterable) -> "WeightedCompOp":
+        return cls(*fields)
 
     def sigma(self, k: int) -> int:
         k = _index(k)
-        return self._table.get(k, k + self._shift)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeightedCompOp)
-            and self._weight == other._weight
-            and self._table == other._table
-            and self._shift == other._shift
-        )
-
-    def __repr__(self) -> str:
-        return f"WeightedCompOp(weight={self._weight!r}, table={self._table}, shift={self._shift})"
+        return self.table.get(k, k + self.shift)
 
 
 def comp_apply(op: WeightedCompOp, x: EvConstSeq) -> EvConstSeq:
@@ -434,6 +415,34 @@ def random_weighted_comp(rng: random.Random) -> WeightedCompOp:
     return WeightedCompOp(weight, table, shift=rng.randint(0, 3))
 
 
+# The exact decisions behind seq-demo's three DP checks. Each accepts and
+# ignores the sampling arguments (samples, seed) that perfbench/traced.py
+# passes. rank_lower_bound, which seq-demo does not call, is there for the
+# same caller. The sampled oracles the tests hold them to are in
+# tests/helpers.py.
+
+
+def biadjoint_dp_check(op: WeightedCompOp, *, samples: int = 0, seed: int = 0) -> bool:
+    return reads_one_coordinate(comp_rows(op))
+
+
+def dual_basis_dp(*, limit: int = 32, samples: int = 0, seed: int = 0) -> bool:
+    return reads_one_coordinate(EvConstSeq.atom(n) for n in range(1, limit + 1))
+
+
+def rank_lower_bound(op: DiagBilinear, n_atoms: int) -> int:
+    rank, _ = diag_lattice_rank(op)
+    if rank is not None and rank < n_atoms:
+        raise ValueError(f"lattice rank is {rank}, below {n_atoms}")
+    return n_atoms
+
+
+def slotwise_dp_check(
+    op: DiagBilinear, u_fixed: EvConstSeq, *, samples: int = 0, seed: int = 0
+) -> bool:
+    return reads_one_coordinate(comp_rows(WeightedCompOp(op.weight.pointwise_mul(u_fixed))))
+
+
 # -- spec files and the seq-demo report ------------------------------------------
 
 _DIAG_KEYS = {"format", "kind", "weight"}
@@ -485,7 +494,7 @@ def _report_seq_demo(operand: EvConstSeq | DiagBilinear | None, seed: int) -> di
         for _ in range(50)
     )
     rng = random.Random(seed + 1)
-    biadjoint_rows = [row for _ in range(5) for row in comp_rows(random_weighted_comp(rng))]
+    biadjoint_dp = all(biadjoint_dp_check(random_weighted_comp(rng)) for _ in range(5))
     rank, indices = diag_lattice_rank(DiagBilinear(weight))
     if rank is None:  # infinitely many disjoint range elements: the dual basis carries it
         rank_check = check("rank", True, disjoint=[indices[0], indices[-1]], hypothesis="dual-basis")
@@ -501,40 +510,12 @@ def _report_seq_demo(operand: EvConstSeq | DiagBilinear | None, seed: int) -> di
     )
     checks = [
         check("diag-extension-agrees", True, samples=50),
-        check("biadjoint-dp", reads_one_coordinate(biadjoint_rows), operators=5),
-        check("dual-basis-dp", reads_one_coordinate(map(EvConstSeq.atom, range(1, 33))), atoms=32),
+        check("biadjoint-dp", biadjoint_dp, operators=5),
+        check("dual-basis-dp", dual_basis_dp(limit=32), atoms=32),
         rank_check,
         # Slot 1 frozen at the constant 1 leaves v |-> (w_n v_n).
-        check("slotwise-dp", reads_one_coordinate(comp_rows(WeightedCompOp(weight)))),
+        check("slotwise-dp", slotwise_dp_check(DiagBilinear(weight), EvConstSeq.constant(1))),
         check("biadjoint-extends-apply", True, samples=20),
     ]
     detail = {"args": {"weight": seq_to_obj(weight)}}
     return build_report(checks, seed=seed, cost={"probes": probes}, detail=detail)
-
-
-# Kept only because perfbench/traced.py imports these names: each answers by
-# the exact decision above and ignores its sampling arguments. The sampled
-# oracles the tests hold them to are in tests/helpers.py, beside the seeded
-# generators of the property tests; random_seq and random_weighted_comp stay
-# here because seq-demo draws its probe inputs from them.
-
-
-def biadjoint_dp_check(op: WeightedCompOp, *, samples: int = 0, seed: int = 0) -> bool:
-    return reads_one_coordinate(comp_rows(op))
-
-
-def dual_basis_dp(*, limit: int = 32, samples: int = 0, seed: int = 0) -> bool:
-    return reads_one_coordinate(EvConstSeq.atom(n) for n in range(1, limit + 1))
-
-
-def rank_lower_bound(op: DiagBilinear, n_atoms: int) -> int:
-    rank, _ = diag_lattice_rank(op)
-    if rank is not None and rank < n_atoms:
-        raise ValueError(f"lattice rank is {rank}, below {n_atoms}")
-    return n_atoms
-
-
-def slotwise_dp_check(
-    op: DiagBilinear, u_fixed: EvConstSeq, *, samples: int = 0, seed: int = 0
-) -> bool:
-    return reads_one_coordinate(comp_rows(WeightedCompOp(op.weight.pointwise_mul(u_fixed))))

@@ -29,7 +29,9 @@ class CoordinatewiseLattice:
     A subclass supplies ``_map(fn)``, the element with ``fn`` applied to
     every coordinate; ``_combine(other, fn)``, with ``fn`` applied to each
     pair of matching coordinates, raising :class:`ValueError` when the
-    spaces differ; and ``_values()``, every value the element takes.
+    spaces differ; and ``_values()``, every value the element takes, which
+    may be an existing accessor: :class:`FinVector` binds it to
+    ``coords``, and ``EvConstSeq`` lists its exceptions and tail.
     """
 
     __slots__ = ()
@@ -126,15 +128,15 @@ class FinVector(CoordinatewiseLattice):
     def ones(cls, dim: int) -> "FinVector":
         return cls([Fraction(1)] * dim)
 
-    @property
-    def dim(self) -> int:
-        return len(self._coords)
-
     def coords(self) -> tuple[Fraction, ...]:
         return self._coords
 
+    _values = coords
+
     def __len__(self) -> int:
         return len(self._coords)
+
+    dim = property(__len__)
 
     def __getitem__(self, i: int) -> Fraction:
         return self._coords[i]
@@ -158,9 +160,6 @@ class FinVector(CoordinatewiseLattice):
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return FinVector(map(fn, self._coords, other._coords))
-
-    def _values(self) -> tuple[Fraction, ...]:
-        return self._coords
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self) if a != 0)

@@ -10,12 +10,12 @@ the least majorant pointwise; arens_reference runs the extension chain
 one validated form per node, pairing each slot against its bidual tail
 index by tail index, with no library contraction; read_chain reads a
 chain of trace marginals the way the README decodes a traced report;
-parse_tensor_reference parses a tensor spec with a check per entry, then
-from_rows and the validating constructor. The sequence-model oracles
-(biadjoint_dp_check, dual_basis_dp, rank_lower_bound, slotwise_dp_check)
-decide by sampling disjoint pairs and testing their images, where the
-library decides the same questions exactly from the operator's finite
-pattern.
+parse_tensor_reference parses a tensor spec with a check per entry, in
+the file's 1-based terms, then builds it by from_rows and the validating
+constructor. The sequence-model oracles (biadjoint_dp_check,
+dual_basis_dp, rank_lower_bound, slotwise_dp_check) decide by sampling
+disjoint pairs and testing their images, where the library decides the
+same questions exactly from the operator's finite pattern.
 
 The Arens law checks pairing_identities and span_disjointness evaluate
 the bidual extensions of a DP operator at sampled or given arguments
@@ -611,9 +611,10 @@ def parse_tensor_reference(obj) -> MultiTensor:
     """Tensor spec parsing by the validating route.
 
     Like parse_tensor, it reads a dict whose kind and format version
-    parse_spec has checked. Each entry is checked on its own, then
-    from_rows rejects duplicates and MultiTensor() checks the shape, the
-    ranges and drops zero values; its messages are the ones the one-pass
+    parse_spec has checked. The validating constructor checks the shape
+    first; then each entry is checked on its own, duplicates and ranges
+    in the file's 1-based terms, and from_rows builds the tensor, whose
+    constructor drops zero values. The messages are the ones the one-pass
     parser must keep.
     """
     _check_keys(obj, {"format", "kind", "m", "domain_dims", "codomain_dim", "entries"},
@@ -627,7 +628,11 @@ def parse_tensor_reference(obj) -> MultiTensor:
     codomain = _int_field(obj, "codomain_dim", "tensor spec")
     if not isinstance(obj["entries"], list):
         raise SpecFileError("entries must be a list")
-    rows = []
+    try:
+        MultiTensor(tuple(dims), codomain, {})  # the shape, before any entry
+    except ShapeError as exc:
+        raise SpecFileError(str(exc)) from exc
+    rows, seen = [], set()
     for pos, entry in enumerate(obj["entries"]):
         entry = _require_dict(entry, f"entries[{pos}]")
         _check_keys(entry, {"out", "idx", "value"}, {"out", "idx", "value"}, f"entries[{pos}]")
@@ -640,11 +645,18 @@ def parse_tensor_reference(obj) -> MultiTensor:
         if out < 1 or any(i < 1 for i in idx):
             raise SpecFileError(f"entries[{pos}]: indices are 1-based")
         value = _rational_field(entry["value"], f"entries[{pos}].value")
+        key = (out, tuple(idx))
+        if key in seen:
+            raise SpecFileError(f"entries[{pos}]: duplicate entry for out={out}, idx={key[1]}")
+        seen.add(key)
+        if out > codomain:
+            raise SpecFileError(f"entries[{pos}]: output coordinate {out} out of range 1..{codomain}")
+        if any(i > d for i, d in zip(idx, dims)):
+            raise SpecFileError(
+                f"entries[{pos}]: index tuple {tuple(idx)} out of range for dims {tuple(dims)}"
+            )
         rows.append((out - 1, tuple(i - 1 for i in idx), value))
-    try:
-        return from_rows(tuple(dims), codomain, rows)
-    except ValueError as exc:
-        raise SpecFileError(str(exc)) from exc
+    return from_rows(tuple(dims), codomain, rows)
 
 
 def compose_functional(y_dual: FinVector, tensor: MultiTensor) -> MultiTensor:

@@ -126,10 +126,10 @@ def loaded_after(argvs, modules):
 
 # Compile budgets, in AST nodes of the loaded rieszkit sources. A docstring is
 # one node and a comment none, so trimming them cannot meet a budget.
-TENSOR_BUDGET = 7_900
+TENSOR_BUDGET = 7_800
 REPLAY_BUDGET = 8_200
-ARENS_BUDGET = 9_500
-SEQ_DEMO_BUDGET = 10_800
+ARENS_BUDGET = 9_400
+SEQ_DEMO_BUDGET = 10_700
 
 
 def test_tensor_commands_import_only_what_they_run(tmp_path):

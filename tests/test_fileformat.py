@@ -251,9 +251,9 @@ SINGLE_FAULTS = {
     "idx not a list": (_spec(entry=_with(idx="23")), "entries[1].idx must be a list of 2 integers"),
     "0-based out": (_spec(entry=_with(out=0)), "entries[1]: indices are 1-based"),
     "0-based idx": (_spec(entry=_with(idx=[0, 3])), "entries[1]: indices are 1-based"),
-    "out past codomain": (_spec(entry=_with(out=3)), "output coordinate 2 out of range 0..1"),
-    "idx past dim": (_spec(entry=_with(idx=[2, 4])), "index tuple (1, 3) out of range for dims (2, 3)"),
-    "duplicate": (_spec(entry=_with(out=1, idx=[1, 2])), "duplicate entry for out=0, idx=(0, 1)"),
+    "out past codomain": (_spec(entry=_with(out=3)), "entries[1]: output coordinate 3 out of range 1..2"),
+    "idx past dim": (_spec(entry=_with(idx=[2, 4])), "entries[1]: index tuple (2, 4) out of range for dims (2, 3)"),
+    "duplicate": (_spec(entry=_with(out=1, idx=[1, 2])), "entries[1]: duplicate entry for out=1, idx=(1, 2)"),
     "duplicate of a zero": (
         _spec(
             entries=[
@@ -261,7 +261,7 @@ SINGLE_FAULTS = {
                 {"out": 1, "idx": [1, 2], "value": "2"},
             ]
         ),
-        "duplicate entry for out=0, idx=(0, 1)",
+        "entries[1]: duplicate entry for out=1, idx=(1, 2)",
     ),
     "decimal value": (
         _spec(entry=_with(value="0.5")),

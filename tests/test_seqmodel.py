@@ -201,6 +201,18 @@ def left_shift():
     return WeightedCompOp(ONES, {}, shift=1)
 
 
+def test_comp_op_is_a_validated_named_tuple():
+    weight = EvConstSeq({1: 5}, 1)
+    table = {2: 7}
+    T = WeightedCompOp(weight, table, shift=1)
+    assert T == (weight, {2: 7}, 1)
+    assert (T.weight, T.table, T.shift) == tuple(T)
+    assert repr(T) == "WeightedCompOp(weight=EvConstSeq({1: 5}, tail=1), table={2: 7}, shift=1)"
+    table[3] = 4  # the op holds its own dict, not the caller's
+    assert T.table == {2: 7} and T.sigma(3) == 4
+    assert T._replace(shift=2) == WeightedCompOp(weight, {2: 7}, shift=2)
+
+
 def test_comp_apply_shift():
     T = left_shift()
     assert comp_apply(T, ONES) == ONES

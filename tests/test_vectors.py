@@ -134,6 +134,7 @@ def test_dimension_mismatch_rejected():
         lambda: WeightedCompOp(EvConstSeq.constant(1), {1.5: 2}),
         lambda: WeightedCompOp(EvConstSeq.constant(1), {1: 2.5}),
         lambda: WeightedCompOp(EvConstSeq.constant(1), shift=1.7),
+        lambda: WeightedCompOp(EvConstSeq.constant(1))._replace(table={1.5: 2}),
         lambda: Permutation([1.0, 0.0]),
         lambda: Permutation(["1", "0"]),
         lambda: FinVector.atom(2, 0.5),
@@ -151,6 +152,7 @@ def test_dimension_mismatch_rejected():
         "comp-table-key",
         "comp-table-target",
         "comp-shift",
+        "comp-replace-table",
         "perm-float",
         "perm-string",
         "atom-float",
@@ -164,6 +166,14 @@ def test_constructors_reject_non_integral_indices(build):
     # index 2, value_at(1.5) the tail, and sigma(1.5) returned 2.5
     with pytest.raises(TypeError):
         build()
+
+
+def test_comp_op_rejects_negative_shift():
+    # _replace builds through the validating constructor, like the call
+    op = WeightedCompOp(EvConstSeq.constant(1))
+    for build in (lambda: WeightedCompOp(op.weight, shift=-1), lambda: op._replace(shift=-1)):
+        with pytest.raises(ValueError, match="shift must be >= 0, got -1"):
+            build()
 
 
 def test_string_round_trip():
