@@ -47,7 +47,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .fileformat import SpecFileError, tensor_to_obj
+from .fileformat import SpecFileError, index_key, tensor_to_obj
 from .operators import MultiTensor, ShapeError, _contract_entries
 from .rational import format_rational
 from .report import build_report, check
@@ -94,26 +94,22 @@ class Permutation(tuple):
     def from_cycles(cls, text: str, m: int) -> "Permutation":
         """Parse 1-based cycle notation such as "(1 2)(3)".
 
-        Cycle points are ASCII digits without a leading zero, so "(1 ٢)",
-        "(+1 2)", "(1 2_0)" and "(01 2)" are errors rather than other
-        spellings of a point: the report echoes ``--perm`` as given, so
-        each would be another digest for the same run. A permutation
-        still has several spellings: "(1 2)" and "(2 1)" parse to one
-        transposition, and "()" and "(1)" to the identity.
+        Each cycle point is read by :func:`rieszkit.fileformat.index_key`,
+        the reader of every other 1-based index on the wire, so a point is
+        written in ASCII digits without a leading zero. "(1 ٢)", "(+1 2)",
+        "(1 2_0)" and "(01 2)" are errors rather than other spellings of a
+        point: the report echoes ``--perm`` as given, so each would be
+        another digest for the same run. A permutation still has several
+        spellings: "(1 2)" and "(2 1)" parse to one transposition, and "()"
+        and "(1)" to the identity.
         """
         if not re.fullmatch(r"\s*(\([^()]*\)\s*)+", text):
             raise ValueError(f"not cycle notation: {text!r}")
         images = list(range(m))
         seen: set[int] = set()
         for body in re.findall(r"\(([^()]*)\)", text):
-            words = body.split()
-            for word in words:
-                if not re.fullmatch("[0-9]+", word):
-                    raise ValueError(f"cycle point {word!r} is not a number in ASCII digits")
-                if word.startswith("0") and word != "0":
-                    raise ValueError(f"cycle point {word!r} has a leading zero; write it without one")
-            points = [int(word) for word in words]
-            if any(not 1 <= p <= m for p in points):
+            points = [index_key(word, "cycle point") for word in body.split()]
+            if any(p > m for p in points):
                 raise ValueError(f"cycle point out of range 1..{m}: {body!r}")
             if len(set(points)) != len(points) or seen & set(points):
                 raise ValueError(f"repeated point in cycles: {text!r}")

@@ -149,8 +149,7 @@ def parse_tensor(obj) -> MultiTensor:
     codomain = _int_field(obj, "codomain_dim", "tensor spec")
     if not isinstance(obj["entries"], list):
         raise SpecFileError("entries must be a list")
-    dims = tuple(map(int, dims))
-    codomain = int(codomain)
+    dims = tuple(dims)
     try:
         check_shape(dims, codomain)
     except ShapeError as exc:

@@ -24,7 +24,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rational import as_fraction
 from .vectors import FinVector
@@ -270,9 +270,11 @@ class MultiTensor:
         """Decide disjointness preservation.
 
         The operator preserves disjointness exactly when every output
-        coordinate reads at most one index tuple. Otherwise take the two
-        smallest tuples s and s2 of the first slice with two, and the first
-        slot where they differ: x and y are the atoms of s and s2 there.
+        coordinate reads at most one index tuple, and then the certificate
+        lists each coordinate's tuple, or None. Otherwise one scan of the
+        slices finds the first that reads two; take its two smallest tuples
+        s and s2 and the first slot where they differ: x and y are the
+        atoms of s and s2 there.
         Every other slot i is fixed to the atom e_{s_i} when s and s2 agree
         in it, and to e_{s_i} + t^(2^p) e_{s2_i} when they differ, with p
         numbering those slots. Each image coordinate is then a polynomial
@@ -287,31 +289,18 @@ class MultiTensor:
         by evaluation before being returned.
         """
         slices = self.slices()
-        offending = None
-        for k in range(self._cod):
-            if len(slices[k]) > 1:
-                offending = k
-                break
-        if offending is None:
-            certificate = tuple(
-                next(iter(sorted(slices[k]))) if slices[k] else None
-                for k in range(self._cod)
-            )
+        k = next((k for k, row in slices.items() if len(row) > 1), None)
+        if k is None:
+            # every slice holds at most one tuple; slices() lists them in coordinate order
+            certificate = tuple(min(row, default=None) for row in slices.values())
             return DPVerdict(True, certificate, None)
 
-        k = offending
         s, s2 = sorted(slices[k])[:2]
         slot = next(i for i in range(self.m) if s[i] != s2[i])
         witness = self._build_witness(k, slot, s, s2, slices[k])
         if not witness.verify(self):
             raise AssertionError("internal error: constructed witness failed to verify")
         return DPVerdict(False, None, witness)
-
-    def _generic_ratio(self, values: Iterable[Fraction]) -> int:
-        """An integer beyond the Cauchy root bound of any polynomial whose
-        nonzero coefficients are among ``values`` (at least one, all nonzero)."""
-        moduli = [abs(v) for v in values]
-        return 1 + math.ceil(sum(moduli) / min(moduli))
 
     def _build_witness(
         self,
@@ -322,12 +311,15 @@ class MultiTensor:
         slice_entries: Mapping[tuple[int, ...], Fraction],
     ) -> DPWitness:
         # Only the at most 2^m slice tuples inside the supports reach the
-        # images at out_coord, so only their entries bound the roots.
-        t = self._generic_ratio(
-            slice_entries[idx]
+        # images at out_coord, so only their entries bound the roots. t is
+        # an integer beyond the Cauchy root bound of any polynomial whose
+        # nonzero coefficients are among them (at least s's and s2's).
+        moduli = [
+            abs(slice_entries[idx])
             for idx in itertools.product(*({a, b} for a, b in zip(s, s2)))
             if idx in slice_entries
-        )
+        ]
+        t = 1 + math.ceil(sum(moduli) / min(moduli))
         fixed = []
         p = 0
         for i, d in enumerate(self._dims):
@@ -428,8 +420,9 @@ def _contract_entries(
 def factorize_multimorphism(tensor: MultiTensor) -> MultimorphismFactorization:
     """Factor a scalar-valued DP operator through coordinate functionals.
 
-    For a DP form A the modulus has at most one entry, so |A| acts as
-    scale * x_1[c_1] * ... * x_m[c_m]. Raises
+    A DP form A reads at most one index tuple, the one its DP certificate
+    holds, so |A| acts as scale * x_1[c_1] * ... * x_m[c_m] with (c_1, ...,
+    c_m) that tuple and scale the modulus of A's entry there. Raises
     :class:`NotDisjointnessPreserving` (with the witness attached) when the
     input is not DP, and :class:`ShapeError` when the codomain is not Q.
     """
@@ -438,8 +431,5 @@ def factorize_multimorphism(tensor: MultiTensor) -> MultimorphismFactorization:
     verdict = tensor.is_dp()
     if not verdict.is_dp:
         raise NotDisjointnessPreserving(verdict)
-    mod_rows = tensor.modulus().rows()
-    if not mod_rows:
-        return MultimorphismFactorization(scale=_ZERO, coords=None)
-    (_, idx, value), = mod_rows
-    return MultimorphismFactorization(scale=value, coords=idx)
+    (coords,) = verdict.certificate  # None for the zero form, whose entry there is 0
+    return MultimorphismFactorization(scale=abs(tensor.entry(0, coords)), coords=coords)

@@ -87,10 +87,12 @@ def build_report(
     *,
     witness: DPWitness | None = None,
     cost: dict | None = None,
-    seed: int | None = None,
     detail: dict | None = None,
 ) -> dict:
-    """A report but for what :func:`rieszkit.cli.build` adds: command, digest, args."""
+    """A report but for what :func:`rieszkit.cli.build` adds: command, digest, args.
+
+    A caller adds any other top-level field itself, as seq-demo adds its seed.
+    """
     report = {
         "checks": checks,
         "ok": all(c["verdict"] == "pass" for c in checks),
@@ -99,8 +101,6 @@ def build_report(
         report["witness"] = witness_to_obj(witness)
     if cost is not None:
         report["cost"] = cost
-    if seed is not None:
-        report["seed"] = seed
     if detail is not None:
         report["detail"] = detail
     return report

@@ -210,11 +210,10 @@ def diag_arens_pair(
         value = c * op.weight.value_at(n)
         if value != 0:
             entries[(n, n)] = value
-    first, second = order
     args = (u, v)
-    after_first = _contract_entries(entries, args[first].value_at)
-    after_second = _contract_entries(after_first, args[second].value_at)
-    return after_second.get((), _ZERO)
+    for slot in order:
+        entries = _contract_entries(entries, args[slot].value_at)
+    return entries.get((), _ZERO)
 
 
 def diag_arens(op: DiagBilinear, u: EvConstSeq, v: EvConstSeq) -> EvConstSeq:
@@ -518,4 +517,4 @@ def _report_seq_demo(operand: EvConstSeq | DiagBilinear | None, seed: int) -> di
         check("biadjoint-extends-apply", True, samples=20),
     ]
     detail = {"args": {"weight": seq_to_obj(weight)}}
-    return build_report(checks, seed=seed, cost={"probes": probes}, detail=detail)
+    return {**build_report(checks, cost={"probes": probes}, detail=detail), "seed": seed}

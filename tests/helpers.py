@@ -28,7 +28,9 @@ random_vector, disjoint_vector_pair, random_tensor and random_dp_tensor
 draw every property-test input from an explicit random.Random, so any
 run replays from its seed.
 
-The package ships only what a CLI path or a benchmark op runs. The
+The package ships what a CLI path or a benchmark op runs, plus a few
+small pieces of the library API that neither runs (arens_evaluate,
+MultiTensor.__neg__, is_positive and zero, FinVector.ones). The other
 operations that only the tests use (the MultiTensor vector-space and
 lattice operations, atom_images, evaluate, dot, is_finitely_supported
 and the spec writers dumps_spec, spec_to_obj, diag_to_obj and
