@@ -20,8 +20,6 @@ chain and the sequence model run it.
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -272,21 +270,18 @@ class MultiTensor:
         The operator preserves disjointness exactly when every output
         coordinate reads at most one index tuple, and then the certificate
         lists each coordinate's tuple, or None. Otherwise one scan of the
-        slices finds the first that reads two; take its two smallest tuples
-        s and s2 and the first slot where they differ: x and y are the
-        atoms of s and s2 there.
-        Every other slot i is fixed to the atom e_{s_i} when s and s2 agree
-        in it, and to e_{s_i} + t^(2^p) e_{s2_i} when they differ, with p
-        numbering those slots. Each image coordinate is then a polynomial
-        in t with at most 2^(m-1) monomials, one per choice of s_i or s2_i
-        in the differing slots, so no two tuples share a power of t. The
-        image of x has constant coefficient A[k, s] and that of y top
-        coefficient A[k, s2], both nonzero, and t is taken beyond the root
-        bound of the slice entries in those supports, so both images are
-        nonzero at k. When s and s2 differ in one slot only, the whole
-        witness is 0/1 vectors. Either way its size is bounded by m and
-        the entries, never by the dimensions. The witness is re-verified
-        by evaluation before being returned.
+        slices finds the first that reads two. Take its smallest tuple s,
+        the slice tuple s2 nearest to s in Hamming distance (ties to the
+        smallest), and the first slot where they differ: x and y are the
+        atoms of s and s2 there, and every other slot i is fixed to the 0/1
+        vector e_{s_i} + e_{s2_i}, an atom where s and s2 agree. A slice
+        tuple u other than s and s2 that these arguments reach differs from
+        s only in slots where s2 does, and in fewer of them, so it would be
+        nearer to s than s2 is. Hence the images at k are A[k, s] and
+        A[k, s2], both nonzero. Every image coordinate sums at most
+        2^(m-1) entries, so the witness's size is bounded by m and the
+        entries, never by the dimensions. The witness is re-verified by
+        evaluation before being returned.
         """
         slices = self.slices()
         k = next((k for k, row in slices.items() if len(row) > 1), None)
@@ -295,9 +290,11 @@ class MultiTensor:
             certificate = tuple(min(row, default=None) for row in slices.values())
             return DPVerdict(True, certificate, None)
 
-        s, s2 = sorted(slices[k])[:2]
+        row = slices[k]
+        s = min(row)
+        s2 = min(row.keys() - {s}, key=lambda u: (sum(map(operator.ne, u, s)), u))
         slot = next(i for i in range(self.m) if s[i] != s2[i])
-        witness = self._build_witness(k, slot, s, s2, slices[k])
+        witness = self._build_witness(k, slot, s, s2)
         if not witness.verify(self):
             raise AssertionError("internal error: constructed witness failed to verify")
         return DPVerdict(False, None, witness)
@@ -308,29 +305,13 @@ class MultiTensor:
         slot: int,
         s: tuple[int, ...],
         s2: tuple[int, ...],
-        slice_entries: Mapping[tuple[int, ...], Fraction],
     ) -> DPWitness:
-        # Only the at most 2^m slice tuples inside the supports reach the
-        # images at out_coord, so only their entries bound the roots. t is
-        # an integer beyond the Cauchy root bound of any polynomial whose
-        # nonzero coefficients are among them (at least s's and s2's).
-        moduli = [
-            abs(slice_entries[idx])
-            for idx in itertools.product(*({a, b} for a, b in zip(s, s2)))
-            if idx in slice_entries
-        ]
-        t = 1 + math.ceil(sum(moduli) / min(moduli))
         fixed = []
-        p = 0
         for i, d in enumerate(self._dims):
-            if i == slot:
-                continue
-            coords = [_ZERO] * d
-            coords[s[i]] = _ONE
-            if s2[i] != s[i]:
-                coords[s2[i]] = Fraction(t ** (2**p))
-                p += 1
-            fixed.append((i, FinVector(coords)))
+            if i != slot:
+                coords = [_ZERO] * d
+                coords[s[i]] = coords[s2[i]] = _ONE
+                fixed.append((i, FinVector(coords)))
         x = FinVector.atom(self._dims[slot], s[slot])
         y = FinVector.atom(self._dims[slot], s2[slot])
         witness = DPWitness(out_coord, slot, x, y, tuple(fixed), image_x=None, image_y=None)

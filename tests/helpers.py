@@ -276,6 +276,23 @@ def random_dp_tensor(
     return MultiTensor(domain_dims, codomain_dim, entries)
 
 
+def non_dp_16x4_spec(seed: int) -> dict:
+    """3,000 entries on 16^4 -> 1 whose two smallest tuples differ in every slot."""
+    rng = random.Random(seed)
+    entries = {(1, 16, 16, 16): Fraction(rng.randint(1, 9), rng.randint(1, 4))}
+    while len(entries) < 3000:
+        idx = (rng.randint(2, 16), *(rng.randint(1, 16) for _ in range(3)))
+        entries[idx] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+    return {
+        "m": 4,
+        "domain_dims": [16] * 4,
+        "codomain_dim": 1,
+        "entries": [
+            {"out": 1, "idx": list(idx), "value": str(v)} for idx, v in entries.items()
+        ],
+    }
+
+
 def disjoint_subset_pairs(dim: int):
     """Unordered pairs of disjoint nonempty subsets of range(dim)."""
     for tags in itertools.product((0, 1, 2), repeat=dim):

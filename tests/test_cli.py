@@ -6,16 +6,14 @@ import json
 import math
 import os
 import pathlib
-import random
 import re
 import subprocess
 import sys
 import textwrap
-from fractions import Fraction as F
 
 import pytest
 
-from helpers import arens_reference, atom_images, read_chain
+from helpers import arens_reference, atom_images, non_dp_16x4_spec, read_chain
 from rieszkit import MultiTensor, Permutation, arens_extension, cli, parse_rational
 from rieszkit.arens import _report_arens
 from rieszkit.fileformat import loads_spec, tensor_to_obj
@@ -126,10 +124,10 @@ def loaded_after(argvs, modules):
 
 # Compile budgets, in AST nodes of the loaded rieszkit sources. A docstring is
 # one node and a comment none, so trimming them cannot meet a budget.
-TENSOR_BUDGET = 7_700
-REPLAY_BUDGET = 8_100
-ARENS_BUDGET = 9_300
-SEQ_DEMO_BUDGET = 10_500
+TENSOR_BUDGET = 7_600
+REPLAY_BUDGET = 7_900
+ARENS_BUDGET = 9_100
+SEQ_DEMO_BUDGET = 10_400
 
 
 def test_tensor_commands_import_only_what_they_run(tmp_path):
@@ -189,6 +187,23 @@ def test_arens_does_not_import_sampling_or_seqmodel(tmp_path):
     assert got["codes"] == [code, 1, 0]
     assert got["loaded"] == [[], [], ["rieszkit.replay"]]
     assert max(got["nodes"][:2]) <= ARENS_BUDGET, got["nodes"]
+
+
+def test_reports_independent_of_hash_seed(monkeypatch):
+    # the witness's second tuple is the nearest of a set of slice tuples,
+    # ties broken by the tuple itself, so no iteration order shows in a report
+    argvs = [
+        [command, fixture(name), *extra, "--json"]
+        for name in ("t_cancel.json", "t_diag.json", "t_m3.json")
+        for command, *extra in (["check-dp"], ["arens", "--trace"])
+    ]
+    outputs = []
+    for seed in ("0", "987654"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        outputs.append([run(*argv) for argv in argvs])
+    for first, second in zip(*outputs):
+        assert first.returncode == second.returncode == 1, first.stderr
+        assert first.stdout == second.stdout
 
 
 def test_reports_byte_identical():
@@ -375,23 +390,6 @@ def test_arens_report_matches_reference_on_every_fixture():
             assert extension["dp"] is input_dp
 
 
-def _non_dp_16x4_spec(seed: int) -> dict:
-    """3,000 entries on 16^4 -> 1 whose two smallest tuples differ in every slot."""
-    rng = random.Random(seed)
-    entries = {(1, 16, 16, 16): F(rng.randint(1, 9), rng.randint(1, 4))}
-    while len(entries) < 3000:
-        idx = (rng.randint(2, 16), *(rng.randint(1, 16) for _ in range(3)))
-        entries[idx] = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
-    return {
-        "m": 4,
-        "domain_dims": [16] * 4,
-        "codomain_dim": 1,
-        "entries": [
-            {"out": 1, "idx": list(idx), "value": str(v)} for idx, v in entries.items()
-        ],
-    }
-
-
 def _int_bits(obj) -> list[int]:
     """Bit lengths of every integer in a report: JSON numbers and p/q parts."""
     if isinstance(obj, dict):
@@ -405,12 +403,12 @@ def _int_bits(obj) -> list[int]:
     return []
 
 
-# sha256 of the stdout of `arens --perm all --json` on _non_dp_16x4_spec(16),
+# sha256 of the stdout of `arens --perm all --json` on non_dp_16x4_spec(16),
 # without and with --trace. Only at this size do the spliced encoding and
 # the bounded witness both show in the bytes.
 NON_DP_16X4_ARENS_DIGESTS = {
-    (): "87757b4721dcaccc3b9e53aaca5c83a79a2757acb88acd39f347822ebd5ba491",
-    ("--trace",): "9afbc0109c8749beec3f9cf091037bca7c197fa2e08bd9b1a77546c7d53a2897",
+    (): "6535c1053797c9316200b030c127aa4745cec26f7aab4c6872eab0312392058e",
+    ("--trace",): "b5a89cda92d355d02fd3313499a948e13f527ece03888afc02bf7706a1bb14fb",
 }
 
 
@@ -419,7 +417,7 @@ def test_non_dp_16x4_witness_is_small(tmp_path):
     # bits and past the int-to-str limit (exit 3); the bounded witness
     # stays a few bits wide and replays.
     spec = tmp_path / "nondp.json"
-    spec.write_text(json.dumps(_non_dp_16x4_spec(16)))
+    spec.write_text(json.dumps(non_dp_16x4_spec(16)))
     tensor = loads_spec(spec.read_text())
     arens = ["arens", "--perm", "all"]
     for args in (["check-dp"], ["factorize"], arens, arens + ["--trace"]):
@@ -714,12 +712,19 @@ def test_zero_padded_witness_slot_is_not_reproduced(tmp_path, capsys):
 def test_witness_past_the_digit_limit_replays_at_the_default_limit(tmp_path, capsys):
     # a witness whose numbers pass the int-to-str limit is one the CLI
     # prints; replay reads no stored witness, so it replays at the default
-    # limit (it exited 2 there and replayed only under a raised limit)
+    # limit (it exited 2 there and replayed only under a raised limit). The
+    # image of y sums two entries with 2,201-digit coprime denominators at
+    # output 2, so its denominator has 4,401 digits.
     spec = tmp_path / "big.json"
-    entries = [([1, 1, 1, 1], "1"), ([2, 2, 2, 2], str(10**1200))]
+    entries = [
+        (1, [1, 1], "1"),
+        (1, [2, 2], "1"),
+        (2, [2, 1], f"1/{10**2200 + 1}"),
+        (2, [2, 2], f"1/{10**2200 + 3}"),
+    ]
     spec.write_text(json.dumps({
-        "m": 4, "domain_dims": [2] * 4, "codomain_dim": 1,
-        "entries": [{"out": 1, "idx": idx, "value": value} for idx, value in entries],
+        "m": 2, "domain_dims": [2, 2], "codomain_dim": 2,
+        "entries": [{"out": k, "idx": idx, "value": value} for k, idx, value in entries],
     }))
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # CPython's default
@@ -754,10 +759,10 @@ SMOKE_DIGESTS = {
     "d_sparse.json": "5df865040278f1e0f7c67205729dd0b467af7543f5615d04260262f4dfa78822",
     "d_tailhalf.json": "bbcd7a85c870ade8171583734ff4c1a934838596ce8afba9a105780d9f7b42f9",
     "d_zero.json": "1ee4a44a6b3cb3c195668dfb0608b381614e165155388e3134083eb737c7d468",
-    "t_cancel.json": "9fbed842d1f42920369edac5f41db8822540d0be9cf3a183057280579aeb3e93",
-    "t_diag.json": "7f521145340d42b5160ce8c97f0d6942a39869cea005824a25aee247d01b3b98",
+    "t_cancel.json": "aa810c3802305bbe13f6df6a3c57d8a5288554908766fd39f8f970e171758fe9",
+    "t_diag.json": "e287df6983624931aeb7598540f687e616826602f89aa5ce2f7fbbace3d4ae25",
     "t_m1.json": "da06131eea7fb3401c12815694bcd2049b2b7248e487f3de471a99812137f79e",
-    "t_m3.json": "705343005171511cb8af35e9760b0cb566e4ed25dcde259d37e2670288089785",
+    "t_m3.json": "ec5f516af3faa3f49b0ec8382e6f60d37a00bb3f49a9bb4e9e9c2b76152af51d",
     "t_m4.json": "af9c37373981fce8c77a4c5299d7b1dd5a8594b9ecf97f04398194b918b9b749",
     "t_single.json": "8b95b95c07552d07c62ed88508f4477eaa34f0b92b48eb9cfcd222eb183e68c8",
     "t_vector_dp.json": "689fe5bee6d11a273d5328d78adaba7a96aced18f7212132f91e8e7cc116a158",

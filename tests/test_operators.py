@@ -16,6 +16,7 @@ from rieszkit import (
     ShapeError,
     factorize_multimorphism,
 )
+from rieszkit.fileformat import parse_tensor
 
 from helpers import (
     add,
@@ -27,6 +28,7 @@ from helpers import (
     leq,
     modulus_oracle,
     negative_part,
+    non_dp_16x4_spec,
     positive_part,
     random_dp_tensor,
     random_tensor,
@@ -233,15 +235,21 @@ def test_dp_stable_under_atom_fixings():
                 assert fixed.is_dp().is_dp
 
 
-def test_witness_ratio_reads_only_the_supports():
-    # t bounds the roots of the images at out_coord, which only the slice
-    # tuples inside the fixed supports reach; the other 200 entries,
-    # however large, must not inflate it.
+def test_witness_reads_the_nearest_tuple():
+    # s2 is the slice tuple nearest to the smallest, so every other slot is
+    # fixed at a 0/1 vector and the images are the two entries themselves;
+    # the other 196 entries of the slice, however large, do not reach them.
     entries = {(0, (0, 0)): F(1), (0, (1, 1)): F(1)}
     entries.update({(0, (i, j)): F(1000) for i in range(2, 16) for j in range(2, 16)})
     w = MultiTensor((16, 16), 1, entries).is_dp().witness
-    assert w.fixed == ((1, FinVector([1, 3] + [0] * 14)),)
-    assert (w.image_x, w.image_y) == (FinVector([1]), FinVector([3]))
+    assert w.fixed == ((1, FinVector([1, 1] + [0] * 14)),)
+    assert (w.image_x, w.image_y) == (FinVector([1]), FinVector([1]))
+    # the second-smallest tuple differs from the smallest in every slot, but
+    # a nearer one differs in the first slot only, so the fixed vectors are atoms
+    t = parse_tensor(non_dp_16x4_spec(16))
+    w = t.is_dp().witness
+    assert all(v == FinVector.atom(16, *v.support()) for _, v in w.fixed)
+    assert w.image_y == FinVector([F(5, 4)]) and w.verify(t)
 
 
 @st.composite
@@ -281,25 +289,21 @@ def test_witness_size_bounded_by_input(t):
     for atom in (w.x, w.y):
         (pos,) = atom.support()
         assert atom[pos] == 1
-    assert all(len(v.support()) <= 2 for _, v in w.fixed)
-    # t is the least fixed coefficient other than 1 (unused when every
-    # fixed vector is an atom). It exceeds the root bound of at most 2^m
-    # entries, so bits(t) <= m + N + D + 1, with N and D the largest
-    # numerator and denominator bit lengths of the entries.
-    m = t.m
+    vectors = [w.x, w.y, *(v for _, v in w.fixed)]
+    assert all(c in (0, 1) for v in vectors for c in v)
+    # x, y and the fixed vectors are 0/1, so each image coordinate sums at
+    # most L = 2^(m-1) entries: its denominator divides the product of L
+    # entry denominators, and its numerator is below L * 2^N * 2^(L*D),
+    # with N and D the largest numerator and denominator bit lengths of the
+    # entries. At out_coord the images are the slice's entries themselves.
+    # Nothing here depends on the dimensions.
+    row = t.slices()[w.out_coord]
+    assert w.image_x[w.out_coord] in row.values()
+    assert w.image_y[w.out_coord] in row.values()
     num = max(abs(v.numerator).bit_length() for _, _, v in t.rows())
     den = max(v.denominator.bit_length() for _, _, v in t.rows())
-    ratio = min((c for _, v in w.fixed for c in v if c > 1), default=None)
-    t_bits = 0 if ratio is None else ratio.numerator.bit_length()
-    assert ratio is None or ratio.denominator == 1
-    assert t_bits <= m + num + den + 1
-    # Each image coordinate sums at most L = 2^(m-1) entries times powers
-    # t^e with e <= L - 1: its denominator divides the product of L entry
-    # denominators, and its numerator is below L * 2^N * 2^(L*D) * t^(L-1).
-    # Nothing here depends on the dimensions.
-    terms = 2 ** (m - 1)
-    bound = (m - 1) + num + terms * den + (terms - 1) * t_bits
-    assert _bits([w.x, w.y, w.image_x, w.image_y, *(v for _, v in w.fixed)]) <= bound
+    bound = (t.m - 1) + num + 2 ** (t.m - 1) * den
+    assert _bits([w.image_x, w.image_y]) <= bound
 
 
 # -- rank ------------------------------------------------------------------------
