@@ -190,8 +190,8 @@ def test_arens_does_not_import_sampling_or_seqmodel(tmp_path):
 
 
 def test_reports_independent_of_hash_seed(monkeypatch):
-    # the witness's second tuple is the nearest of a set of slice tuples,
-    # ties broken by the tuple itself, so no iteration order shows in a report
+    # reports must not depend on the interpreter's hash seed: every set or
+    # dict a report is built from is read in an order fixed by its contents
     argvs = [
         [command, fixture(name), *extra, "--json"]
         for name in ("t_cancel.json", "t_diag.json", "t_m3.json")

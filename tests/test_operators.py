@@ -291,8 +291,10 @@ def test_witness_size_bounded_by_input(t):
         assert atom[pos] == 1
     vectors = [w.x, w.y, *(v for _, v in w.fixed)]
     assert all(c in (0, 1) for v in vectors for c in v)
-    # x, y and the fixed vectors are 0/1, so each image coordinate sums at
-    # most L = 2^(m-1) entries: its denominator divides the product of L
+    assert all(len(v.support()) <= 2 for _, v in w.fixed)
+    # x and y are atoms and the m-1 fixed vectors are 0/1 with at most two
+    # nonzero coordinates, so each image coordinate sums at most
+    # L = 2^(m-1) entries: its denominator divides the product of L
     # entry denominators, and its numerator is below L * 2^N * 2^(L*D),
     # with N and D the largest numerator and denominator bit lengths of the
     # entries. At out_coord the images are the slice's entries themselves.
