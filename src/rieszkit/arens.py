@@ -196,9 +196,9 @@ def _contract_slot(
 
 
 def trace_marginals(
-    slices: dict[int, _Form], rhos: Sequence[Permutation]
+    slices: Sequence[_Form], rhos: Sequence[Permutation]
 ) -> dict[int, dict[int, _Form]]:
-    """Per output coordinate, the marginals on the chains of ``rhos``.
+    """Per output coordinate (a position in ``slices``), the marginals on the chains of ``rhos``.
 
     Each coordinate's marginals are keyed by contracted-slot bitmask (see
     :func:`chain_masks`), with their remaining slots in ascending order.
@@ -212,7 +212,7 @@ def trace_marginals(
         for parent, slot in zip(chain_masks(rho), rho):
             steps[parent | 1 << slot] = (parent, slot)
     out = {}
-    for k, slice_entries in slices.items():
+    for k, slice_entries in enumerate(slices):
         memo = {0: slice_entries}
         # a parent's mask is below its child's
         for mask, (parent, slot) in sorted(steps.items()):
@@ -239,7 +239,7 @@ def arens_evaluate(
         raise ShapeError(f"permutation arity {rho.m} against tensor arity {tensor.m}")
     masks = chain_masks(rho)
     out = []
-    for form in tensor.slices().values():
+    for form in tensor.slices():
         for contracted, slot in zip(masks, rho):
             form = _contract_slot(form, contracted, slot, biduals[slot].__getitem__)
         out.append(form.get((), _ZERO))

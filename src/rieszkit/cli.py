@@ -102,7 +102,7 @@ def _report_rank(tensor: MultiTensor) -> dict:
     basis = tensor.range_sublattice_basis()
     return build_report(
         [check("rank-computed", True, rank=len(basis))],
-        cost={"entries": tensor.nnz(), "atoms": len({idx for (_, idx), _ in tensor.items()})},
+        cost={"entries": tensor.nnz(), "atoms": len(set().union(*tensor.slices()))},
         detail={"rank": len(basis), "basis": [vector_to_obj(v) for v in basis]},
     )
 

@@ -132,14 +132,14 @@ def _rational_field(value, what: str):
 
 
 def parse_tensor(obj) -> MultiTensor:
-    """Validate a tensor spec and build its tensor, in one pass over the entries.
+    """Validate a tensor spec and fill its tensor's slices, in one pass over the entries.
 
     ``obj`` is a dict whose envelope (kind and format version)
     :func:`parse_spec` has read. The shape is checked first; then each
     entry gets its type, 1-based, range and duplicate checks, and each
     distinct rational literal is parsed once per file. Errors quote the
     file's own 1-based values. Entries given as zero are checked like the
-    others, duplicates included, and dropped in one pass at the end.
+    others, duplicates included, and dropped slice by slice at the end.
     """
     _check_keys(obj, _TENSOR_KEYS, {"m", "domain_dims", "codomain_dim", "entries"}, "tensor spec")
     m = _int_field(obj, "m", "tensor spec")
@@ -154,7 +154,7 @@ def parse_tensor(obj) -> MultiTensor:
         check_shape(dims, codomain)
     except ShapeError as exc:
         raise SpecFileError(str(exc)) from exc
-    entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    slices: tuple[dict[tuple[int, ...], Fraction], ...] = tuple({} for _ in range(codomain))
     literals: dict[str, Fraction] = {}
     for pos, entry in enumerate(obj["entries"]):
         if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
@@ -172,17 +172,18 @@ def parse_tensor(obj) -> MultiTensor:
         value = literals.get(raw) if isinstance(raw, str) else None
         if value is None:
             value = literals[raw] = _rational_field(raw, f"entries[{pos}].value")
-        key = (out - 1, tuple([i - 1 for i in idx]))
-        if key in entries:
-            raise SpecFileError(f"entries[{pos}]: duplicate entry for out={out}, idx={tuple(idx)}")
         if out > codomain:
             raise SpecFileError(f"entries[{pos}]: output coordinate {out} out of range 1..{codomain}")
+        row = slices[out - 1]
+        key = tuple([i - 1 for i in idx])
+        if key in row:
+            raise SpecFileError(f"entries[{pos}]: duplicate entry for out={out}, idx={tuple(idx)}")
         if not all(map(operator.le, idx, dims)):
             raise SpecFileError(f"entries[{pos}]: index tuple {tuple(idx)} out of range for dims {dims}")
-        entries[key] = value
-    if not all(entries.values()):
-        entries = {key: value for key, value in entries.items() if value}
-    return MultiTensor._derived(dims, codomain, entries)
+        row[key] = value
+    return MultiTensor._derived(
+        dims, tuple(row if all(row.values()) else {i: v for i, v in row.items() if v} for row in slices)
+    )
 
 
 def tensor_to_obj(tensor: MultiTensor) -> dict:

@@ -1,16 +1,15 @@
 """Regular linear and multilinear operators between coordinatewise spaces.
 
-An m-linear operator A: Q^{d_1} x ... x Q^{d_m} -> Q^c is stored as a
-sparse rational tensor: a map from (output coordinate, index tuple) to a
-nonzero Fraction. Because the atoms generate the positive cone, the
-operator order is the entrywise order, and modulus / positive part /
-negative part are entrywise as well.
+An m-linear operator A: Q^{d_1} x ... x Q^{d_m} -> Q^c is stored as its
+slices: per output coordinate, a map from index tuple to nonzero Fraction.
+Because the atoms generate the positive cone, the operator order is the
+entrywise order, and modulus / positive part / negative part are too.
 
 The central decision procedure is :meth:`MultiTensor.is_dp`: does the
 operator map tuples that are disjoint in one slot (the other slots held
 fixed) to disjoint outputs? The answer is structural, and every negative
-answer comes with a concrete witness that is re-verified by evaluation
-before it is returned.
+answer comes with a concrete witness whose two images are checked against
+the tensor's entries before it is returned.
 
 A linear map is the case m = 1, a one-slot tensor; its second adjoint
 T'' is :func:`rieszkit.arens.arens_extension` at m = 1. The sparse
@@ -119,9 +118,9 @@ class MultimorphismFactorization(NamedTuple):
 
 
 class MultiTensor:
-    """Sparse exact tensor of an m-linear operator Q^{d_1} x ... -> Q^c."""
+    """Sparse exact tensor of an m-linear operator Q^{d_1} x ... -> Q^c, kept as its slices."""
 
-    __slots__ = ("_dims", "_cod", "_entries")
+    __slots__ = ("_dims", "_slices")
 
     def __init__(
         self,
@@ -130,40 +129,37 @@ class MultiTensor:
         entries: Mapping[tuple[int, tuple[int, ...]], object],
     ) -> None:
         dims = tuple(map(operator.index, domain_dims))
-        self._cod = operator.index(codomain_dim)
-        check_shape(dims, self._cod)
+        cod = operator.index(codomain_dim)
+        check_shape(dims, cod)
         self._dims = dims
-        clean: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+        self._slices = tuple({} for _ in range(cod))
         for (k, idx), raw in entries.items():
             k, idx = operator.index(k), tuple(map(operator.index, idx))
-            if not 0 <= k < self._cod:
-                raise ShapeError(f"output coordinate {k} out of range 0..{self._cod - 1}")
+            if not 0 <= k < cod:
+                raise ShapeError(f"output coordinate {k} out of range 0..{cod - 1}")
             if len(idx) != len(dims) or any(
                 not 0 <= i < d for i, d in zip(idx, dims)
             ):
                 raise ShapeError(f"index tuple {idx} out of range for dims {dims}")
             value = as_fraction(raw)
             if value != 0:
-                clean[(k, idx)] = value
-        self._entries = clean
+                self._slices[k][idx] = value
 
     @classmethod
     def _derived(
         cls,
         domain_dims: tuple[int, ...],
-        codomain_dim: int,
-        entries: dict[tuple[int, tuple[int, ...]], Fraction],
+        slices: tuple[dict[tuple[int, ...], Fraction], ...],
     ) -> "MultiTensor":
-        """Wrap entries derived from an already valid tensor, unchecked.
+        """Wrap slices derived from an already valid tensor, unchecked.
 
-        The caller guarantees the shape of a valid tensor, in-range keys
-        of int tuples and nonzero Fraction values; ``entries`` is stored
-        as given.
+        The caller guarantees the shape of a valid tensor, one slice per
+        output coordinate, in-range int tuple keys and nonzero Fraction
+        values; ``slices`` is stored as given.
         """
         tensor = cls.__new__(cls)
         tensor._dims = domain_dims
-        tensor._cod = codomain_dim
-        tensor._entries = entries
+        tensor._slices = slices
         return tensor
 
     @classmethod
@@ -182,35 +178,31 @@ class MultiTensor:
 
     @property
     def codomain_dim(self) -> int:
-        return self._cod
+        return len(self._slices)
 
     def entry(self, out_coord: int, idx: tuple[int, ...]) -> Fraction:
-        return self._entries.get((out_coord, idx), _ZERO)
+        return self._slices[out_coord].get(idx, _ZERO)
 
     def rows(self) -> list[tuple[int, tuple[int, ...], Fraction]]:
         """Entries as a deterministically sorted list."""
-        return [(k, idx, v) for (k, idx), v in sorted(self._entries.items())]
+        return [(k, idx, v) for k, row in enumerate(self._slices) for idx, v in sorted(row.items())]
 
     def nnz(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._slices))
 
     def items(self) -> Iterator[tuple[tuple[int, tuple[int, ...]], Fraction]]:
-        return iter(self._entries.items())
+        return (((k, idx), v) for k, row in enumerate(self._slices) for idx, v in row.items())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiTensor)
             and self._dims == other._dims
-            and self._cod == other._cod
-            and self._entries == other._entries
+            and self._slices == other._slices
         )
-
-    def __hash__(self) -> int:
-        return hash((self._dims, self._cod, frozenset(self._entries.items())))
 
     def __repr__(self) -> str:
         shape = "x".join(str(d) for d in self._dims)
-        return f"MultiTensor({shape}->{self._cod}, {self.nnz()} entries)"
+        return f"MultiTensor({shape}->{self.codomain_dim}, {self.nnz()} entries)"
 
     # -- evaluation ----------------------------------------------------------
 
@@ -225,12 +217,13 @@ class MultiTensor:
         # whose index leaves some slot's support contributes nothing, and
         # is skipped by lookups alone, before any Fraction arithmetic.
         support = [{pos: c for pos, c in enumerate(x) if c} for x in args]
-        acc = [_ZERO] * self._cod
-        for (k, idx), value in self._entries.items():
-            if all(map(dict.__contains__, support, idx)):
-                for c in map(dict.__getitem__, support, idx):
-                    value *= c
-                acc[k] += value
+        acc = [_ZERO] * len(self._slices)
+        for k, row in enumerate(self._slices):
+            for idx, value in row.items():
+                if all(map(dict.__contains__, support, idx)):
+                    for c in map(dict.__getitem__, support, idx):
+                        value *= c
+                    acc[k] += value
         return FinVector(acc)
 
     # -- entrywise lattice structure ------------------------------------------
@@ -240,27 +233,27 @@ class MultiTensor:
 
     def modulus(self) -> "MultiTensor":
         """|A|: entrywise absolute value; the least positive majorant of A and -A."""
-        entries = {key: abs(v) for key, v in self._entries.items()}
-        return MultiTensor._derived(self._dims, self._cod, entries)
+        return MultiTensor._derived(
+            self._dims, tuple({idx: abs(v) for idx, v in row.items()} for row in self._slices)
+        )
 
     def __neg__(self) -> "MultiTensor":
-        entries = {key: -v for key, v in self._entries.items()}
-        return MultiTensor._derived(self._dims, self._cod, entries)
+        return MultiTensor._derived(
+            self._dims, tuple({idx: -v for idx, v in row.items()} for row in self._slices)
+        )
 
     def is_positive(self) -> bool:
         """A >= 0 in the operator order, i.e. every entry is nonnegative."""
-        return not any(v < 0 for v in self._entries.values())
+        return not any(v < 0 for row in self._slices for v in row.values())
 
     # -- slices -----------------------------------------------------------------
 
-    def slices(self) -> dict[int, dict[tuple[int, ...], Fraction]]:
-        """Per output coordinate, the nonzero index tuples and their values."""
-        out: dict[int, dict[tuple[int, ...], Fraction]] = {
-            k: {} for k in range(self._cod)
-        }
-        for (k, idx), v in self._entries.items():
-            out[k][idx] = v
-        return out
+    def slices(self) -> tuple[dict[tuple[int, ...], Fraction], ...]:
+        """Per output coordinate, in order, the nonzero index tuples and their values.
+
+        This is the tensor's own storage: callers must not mutate it.
+        """
+        return self._slices
 
     # -- disjointness preservation ------------------------------------------------
 
@@ -280,32 +273,18 @@ class MultiTensor:
         nearer to s than s2 is. Hence the images at k are A[k, s] and
         A[k, s2], both nonzero. Every image coordinate sums at most
         2^(m-1) entries, so the witness's size is bounded by m and the
-        entries, never by the dimensions. The witness is re-verified by
-        evaluation before being returned.
+        entries, never by the dimensions. Each image is evaluated once and
+        checked against those two slice entries before the witness is returned.
         """
-        slices = self.slices()
-        k = next((k for k, row in slices.items() if len(row) > 1), None)
+        k = next((k for k, row in enumerate(self._slices) if len(row) > 1), None)
         if k is None:
-            # every slice holds at most one tuple; slices() lists them in coordinate order
-            certificate = tuple(min(row, default=None) for row in slices.values())
+            certificate = tuple(min(row, default=None) for row in self._slices)
             return DPVerdict(True, certificate, None)
 
-        row = slices[k]
+        row = self._slices[k]
         s = min(row)
         s2 = min(row.keys() - {s}, key=lambda u: (sum(map(operator.ne, u, s)), u))
         slot = next(i for i in range(self.m) if s[i] != s2[i])
-        witness = self._build_witness(k, slot, s, s2)
-        if not witness.verify(self):
-            raise AssertionError("internal error: constructed witness failed to verify")
-        return DPVerdict(False, None, witness)
-
-    def _build_witness(
-        self,
-        out_coord: int,
-        slot: int,
-        s: tuple[int, ...],
-        s2: tuple[int, ...],
-    ) -> DPWitness:
         fixed = []
         for i, d in enumerate(self._dims):
             if i != slot:
@@ -314,11 +293,11 @@ class MultiTensor:
                 fixed.append((i, FinVector(coords)))
         x = FinVector.atom(self._dims[slot], s[slot])
         y = FinVector.atom(self._dims[slot], s2[slot])
-        witness = DPWitness(out_coord, slot, x, y, tuple(fixed), image_x=None, image_y=None)
-        return witness._replace(
-            image_x=self.apply(witness.args_for(x)),
-            image_y=self.apply(witness.args_for(y)),
-        )
+        witness = DPWitness(k, slot, x, y, tuple(fixed), image_x=None, image_y=None)
+        image_x, image_y = (self.apply(witness.args_for(v)) for v in (x, y))
+        if (image_x[k], image_y[k]) != (row[s], row[s2]):
+            raise AssertionError("internal error: constructed witness failed to verify")
+        return DPVerdict(False, None, witness._replace(image_x=image_x, image_y=image_y))
 
     # -- lattice rank of the range ------------------------------------------------
 
@@ -336,7 +315,7 @@ class MultiTensor:
         in order of their first coordinates, the reduced echelon form.
         """
         rays: dict[frozenset, list[tuple[int, Fraction]]] = {}
-        for k, row in self.slices().items():
+        for k, row in enumerate(self._slices):
             if row:
                 lead = abs(row[min(row)])
                 ray = frozenset((idx, v / lead) for idx, v in row.items())
@@ -344,7 +323,7 @@ class MultiTensor:
         basis = []
         for members in rays.values():
             first = members[0][1]
-            coords = [_ZERO] * self._cod
+            coords = [_ZERO] * len(self._slices)
             for k, lead in members:
                 coords[k] = lead / first
             basis.append(FinVector(coords))

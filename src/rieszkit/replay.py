@@ -8,9 +8,9 @@ is rerun with those options on the given input file through
 is recomputed, the input digest and ``detail.args`` included. The
 input must have the stored digest (exit 2 otherwise), and the verdict is
 whether the rebuilt report matches the stored one as canonical bytes. A
-stored witness is one of those fields: the rerun re-verified the witness
-it built by evaluation, so a changed or malformed stored one is a report
-that was not reproduced. Only ``replay`` loads this module.
+stored witness is one of those fields: the rerun checked the witness it
+built against the tensor's entries, so a changed or malformed stored one
+is a report that was not reproduced. Only ``replay`` loads this module.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import textwrap
 import pytest
 
 from helpers import arens_reference, atom_images, non_dp_16x4_spec, read_chain
-from rieszkit import MultiTensor, Permutation, arens_extension, cli, parse_rational
+from rieszkit import FinVector, MultiTensor, Permutation, arens_extension, cli, parse_rational
 from rieszkit.arens import _report_arens
 from rieszkit.fileformat import loads_spec, tensor_to_obj
 from rieszkit.report import input_digest, witness_from_obj
@@ -87,6 +87,40 @@ def test_unexpected_error_exits_3(monkeypatch, capsys):
     assert err == "error: internal RuntimeError: handler crashed\n"
 
 
+@pytest.mark.parametrize("name", ["t_diag.json", "t_m3.json"])
+@pytest.mark.parametrize("command", ["check-dp", "factorize", "arens"])
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_wrong_evaluator_is_an_internal_error(monkeypatch, capsys, name, command, mode):
+    # is_dp checks its witness images against the slice's entries, not by a
+    # second evaluation, so an evaluator that is off by one everywhere is an
+    # internal error rather than a witness printed with exit 1
+    apply = MultiTensor.apply
+    monkeypatch.setattr(
+        MultiTensor, "apply", lambda self, args: FinVector([c + 1 for c in apply(self, args)])
+    )
+    assert cli.main([command, str(fixture(name)), *mode]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal AssertionError") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name", ["t_diag.json", "t_cancel.json", "t_m3.json"])
+def test_non_dp_verdict_evaluates_each_image_once(monkeypatch, name):
+    # the witness's two images are evaluated once each and checked against
+    # the slice, not evaluated again to re-verify them
+    calls = []
+    apply = MultiTensor.apply
+
+    def counted(self, args):
+        calls.append(args)
+        return apply(self, args)
+
+    monkeypatch.setattr(MultiTensor, "apply", counted)
+    verdict = loads_spec(fixture(name).read_text()).is_dp()
+    assert not verdict.is_dp
+    assert len(calls) == 2
+
+
 def loaded_after(argvs, modules):
     """What cli.main over argvs loads, in one fresh interpreter.
 
@@ -124,10 +158,10 @@ def loaded_after(argvs, modules):
 
 # Compile budgets, in AST nodes of the loaded rieszkit sources. A docstring is
 # one node and a comment none, so trimming them cannot meet a budget.
-TENSOR_BUDGET = 7_600
-REPLAY_BUDGET = 7_900
-ARENS_BUDGET = 9_100
-SEQ_DEMO_BUDGET = 10_400
+TENSOR_BUDGET = 7_500
+REPLAY_BUDGET = 7_800
+ARENS_BUDGET = 9_000
+SEQ_DEMO_BUDGET = 10_300
 
 
 def test_tensor_commands_import_only_what_they_run(tmp_path):
@@ -195,14 +229,16 @@ def test_reports_independent_of_hash_seed(monkeypatch):
     argvs = [
         [command, fixture(name), *extra, "--json"]
         for name in ("t_cancel.json", "t_diag.json", "t_m3.json")
-        for command, *extra in (["check-dp"], ["arens", "--trace"])
+        for command, *extra in (["check-dp"], ["arens", "--trace"], ["rank"], ["modulus"])
     ]
     outputs = []
     for seed in ("0", "987654"):
         monkeypatch.setenv("PYTHONHASHSEED", seed)
         outputs.append([run(*argv) for argv in argvs])
-    for first, second in zip(*outputs):
-        assert first.returncode == second.returncode == 1, first.stderr
+    for argv, first, second in zip(argvs, *outputs):
+        # the three inputs are not DP; rank and modulus report without a verdict
+        code = 0 if argv[0] in ("rank", "modulus") else 1
+        assert first.returncode == second.returncode == code, first.stderr
         assert first.stdout == second.stdout
 
 

@@ -405,6 +405,11 @@ def test_modulus_and_negation_equal_validated_rebuilds(t):
     assert t.modulus() == MultiTensor(dims, cod, {key: abs(v) for key, v in t.items()})
     assert -t == MultiTensor(dims, cod, {key: -v for key, v in t.items()})
     assert t.modulus() == modulus_oracle(t)
+    # the slices are the storage: every reader sees the same entries
+    assert t.rows() == sorted((k, idx, v) for (k, idx), v in t.items())
+    assert len(t.slices()) == t.codomain_dim
+    assert t.nnz() == len(dict(t.items()))
+    assert MultiTensor(dims, cod, dict(t.items())) == t
 
 
 # -- sign expansion --------------------------------------------------------------
