@@ -36,7 +36,8 @@ adjoint T'' of a linear map.
 The ``arens`` subcommand's report is built here too (:func:`_report_arens`,
 with the ``--perm`` choices and the wire form of the trace marginals), so
 the command line front end loads this module only for ``arens`` and for a
-replay of a stored ``arens`` report.
+replay of a stored ``arens`` report. Its trace holds nonzero masks only, as
+bare rows: mask 0 is the slice, already in the printed tensor.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ class ArensResult(NamedTuple):
     all-ones contraction: a dict from contracted-slot bitmask (see
     :func:`chain_masks`, which also gives their contraction order) to the
     marginal's entries, indexed over its remaining slots in ascending
-    order. ``arens --trace`` prints ``trace[k][mask]`` as
-    ``detail.marginals[str(k + 1)][str(mask)]``, 1-based.
+    order. For mask != 0, ``arens --trace`` prints ``trace[k][mask]`` as
+    the rows ``detail.marginals[str(k + 1)][str(mask)]``, 1-based; mask 0
+    is slice k, printed only in the report's tensor.
     """
 
     permutation: Permutation
@@ -262,21 +264,9 @@ def _perm_choices(text: str, m: int) -> list[Permutation]:
         raise SpecFileError(str(exc)) from exc
 
 
-def _marginal_obj(dims: tuple[int, ...], mask: int, entries: _Form) -> dict:
-    """Wire form of a trace marginal: its remaining slots ascending, 1-based.
-
-    Each entry is [i_1, ..., i_k, "p/q"], an index tuple over those slots
-    followed by the value.
-    """
-    slots = [s for s in range(len(dims)) if not mask >> s & 1]
-    return {
-        "dims": [dims[s] for s in slots],
-        "slots": [s + 1 for s in slots],
-        "entries": [
-            [i + 1 for i in idx] + [format_rational(v)]
-            for idx, v in sorted(entries.items())
-        ],
-    }
+def _marginal_rows(entries: _Form) -> list[list]:
+    """A marginal's rows [i_1, ..., i_k, "p/q"], 1-based, over its remaining slots ascending."""
+    return [[i + 1 for i in idx] + [format_rational(v)] for idx, v in sorted(entries.items())]
 
 
 def _report_arens(tensor: MultiTensor, perm: str, trace: bool) -> dict:
@@ -297,11 +287,9 @@ def _report_arens(tensor: MultiTensor, perm: str, trace: bool) -> dict:
         extensions.append(entry)
     detail = {"extensions": extensions}
     if trace:
+        # mask 0 is the coordinate's slice, printed in the tensor already
         detail["marginals"] = {
-            str(k + 1): {
-                str(mask): _marginal_obj(tensor.domain_dims, mask, entries)
-                for mask, entries in memo.items()
-            }
+            str(k + 1): {str(mask): _marginal_rows(memo[mask]) for mask in memo if mask}
             for k, memo in trace_marginals(tensor.slices(), perms).items()
         }
     return build_report(

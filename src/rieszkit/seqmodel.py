@@ -144,14 +144,12 @@ class EvConstSeq(CoordinatewiseLattice):
         """Coordinatewise product; tails multiply. The model is closed under it."""
         return self._combine(other, operator.mul)
 
-    def _key(self) -> tuple:
-        return (tuple(sorted(self._exc.items())), self._tail)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, EvConstSeq) and self._key() == other._key()
+        # dict equality ignores insertion order
+        return isinstance(other, EvConstSeq) and (self._exc, self._tail) == (other._exc, other._tail)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((frozenset(self._exc.items()), self._tail))
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{k}: {v}" for k, v in sorted(self._exc.items()))

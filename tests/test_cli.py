@@ -262,10 +262,13 @@ def _unique_keys(pairs):
 @pytest.mark.parametrize("name", ["t_m3.json", "t_m4.json"])
 def test_trace_wire_format(name):
     # detail.marginals holds each output coordinate's marginals once, keyed
-    # by contracted-slot bitmask, slots ascending, entries [i_1, ..., i_k,
-    # "p/q"] 1-based; each extension's trace lists its chain's bitmasks.
-    # Decoded, every coordinate's marginals on a chain are arens_extension's
-    # trace, and read in rho order they are the reference chain.
+    # by contracted-slot bitmask, for the nonzero masks only; a marginal is
+    # a list of rows [i_1, ..., i_k, "p/q"], 1-based, over the slots its
+    # mask leaves unset, ascending. Mask 0 is the coordinate's slice, which
+    # the printed tensor holds. Each extension's trace lists its chain's
+    # bitmasks. Decoded, with mask 0 from the slice, every coordinate's
+    # marginals on a chain are arens_extension's trace, and read in rho
+    # order they are the reference chain.
     tensor = loads_spec(fixture(name).read_text())
     m = tensor.m
     for perm in ("all", "theta", "(1 3 2)"):
@@ -276,14 +279,18 @@ def test_trace_wire_format(name):
         assert sorted(marginals) == [str(k + 1) for k in range(tensor.codomain_dim)]
         decoded = {}
         for k, forms in marginals.items():
-            decoded[int(k) - 1] = memo = {}
-            for mask, form in forms.items():
-                slots = [s for s in range(m) if not int(mask) >> s & 1]
-                assert form["slots"] == [s + 1 for s in slots]
-                assert form["dims"] == [tensor.domain_dims[s] for s in slots]
-                memo[int(mask)] = {
-                    tuple(i - 1 for i in e[:-1]): parse_rational(e[-1]) for e in form["entries"]
-                }
+            assert "0" not in forms
+            decoded[int(k) - 1] = memo = {0: tensor.slices()[int(k) - 1]}
+            for mask, rows in forms.items():
+                assert isinstance(rows, list)
+                dims = [tensor.domain_dims[s] for s in range(m) if not int(mask) >> s & 1]
+                memo[int(mask)] = form = {}
+                for row in rows:
+                    *idx, value = row
+                    assert len(idx) == len(dims)
+                    assert all(1 <= i <= d for i, d in zip(idx, dims)), row
+                    form[tuple(i - 1 for i in idx)] = parse_rational(value)
+                assert len(form) == len(rows)
         used = set()
         for extension in report["detail"]["extensions"]:
             rho = Permutation([i - 1 for i in extension["perm"]])
@@ -296,9 +303,9 @@ def test_trace_wire_format(name):
             for k, memo in decoded.items():
                 assert {mask: memo[mask] for mask in masks} == expected[k]
                 assert read_chain(tensor.domain_dims, rho, memo) == reference[k]
-        # every printed marginal lies on a chain, and a coordinate prints each once
+        # a coordinate prints each nonzero mask on a requested chain, once
         for forms in marginals.values():
-            assert sorted(map(int, forms)) == sorted(used)
+            assert sorted(map(int, forms)) == sorted(used - {0})
         assert len(used) == (2**m if perm == "all" else m + 1)
 
 
@@ -444,7 +451,7 @@ def _int_bits(obj) -> list[int]:
 # the bounded witness both show in the bytes.
 NON_DP_16X4_ARENS_DIGESTS = {
     (): "6535c1053797c9316200b030c127aa4745cec26f7aab4c6872eab0312392058e",
-    ("--trace",): "b5a89cda92d355d02fd3313499a948e13f527ece03888afc02bf7706a1bb14fb",
+    ("--trace",): "bc5cf521f6f5369cfe330b1a389beb8e930374391181a8af0e7131556b98b561",
 }
 
 
@@ -795,14 +802,14 @@ SMOKE_DIGESTS = {
     "d_sparse.json": "5df865040278f1e0f7c67205729dd0b467af7543f5615d04260262f4dfa78822",
     "d_tailhalf.json": "bbcd7a85c870ade8171583734ff4c1a934838596ce8afba9a105780d9f7b42f9",
     "d_zero.json": "1ee4a44a6b3cb3c195668dfb0608b381614e165155388e3134083eb737c7d468",
-    "t_cancel.json": "aa810c3802305bbe13f6df6a3c57d8a5288554908766fd39f8f970e171758fe9",
-    "t_diag.json": "e287df6983624931aeb7598540f687e616826602f89aa5ce2f7fbbace3d4ae25",
-    "t_m1.json": "da06131eea7fb3401c12815694bcd2049b2b7248e487f3de471a99812137f79e",
-    "t_m3.json": "ec5f516af3faa3f49b0ec8382e6f60d37a00bb3f49a9bb4e9e9c2b76152af51d",
-    "t_m4.json": "af9c37373981fce8c77a4c5299d7b1dd5a8594b9ecf97f04398194b918b9b749",
-    "t_single.json": "8b95b95c07552d07c62ed88508f4477eaa34f0b92b48eb9cfcd222eb183e68c8",
-    "t_vector_dp.json": "689fe5bee6d11a273d5328d78adaba7a96aced18f7212132f91e8e7cc116a158",
-    "t_zero.json": "db770c70747161e104149351b6b998c50494bd911696f3df0f3b38fdd838e2cc",
+    "t_cancel.json": "17404ca1e36dd7976a30ed69ec5b94467f4599050189e4853a312669e8d49a9c",
+    "t_diag.json": "55a8d233b283530d9a9aa3c3a458f90e179c71ca7e25767d143daec4a7e3b83e",
+    "t_m1.json": "613a66110686cd2bac105b7a9d1ae734170b01960753dad129039ac931995b75",
+    "t_m3.json": "bb0630a97a48bcc8352697302561e9c653a2e6d897c326ed53c37b6d6fd536b9",
+    "t_m4.json": "8adcaf9e65a8ba73416e4370e02e817a5e78884e2376d6648a032a18e6f2de9e",
+    "t_single.json": "39f0f8a8547b830ef911c89c4d8ee9498164e847d46d012e8feeb791e1461d21",
+    "t_vector_dp.json": "ec26ce3241b0170980ea35193f2ebcbefafb4bca06fea6685a2744f315fcb99a",
+    "t_zero.json": "249da3b0f8f2fb84493ee360bf43b8b425f95f0e55d13ea15d6bead85b72b18a",
 }
 
 

@@ -55,6 +55,11 @@ def test_canonical_form():
     assert s.exceptions == {1: F(2)}  # entries equal to the tail dissolve
     assert s.value_at(3) == 5 and s.value_at(100) == 5
     assert EvConstSeq({2: 0}, 0) == EvConstSeq.zero()
+    # equality and hashing ignore the order the exceptions were given in
+    forward, backward = EvConstSeq({1: 2, 3: 4}, 5), EvConstSeq({3: 4, 1: 2}, 5)
+    assert list(forward.exceptions) != list(backward.exceptions)
+    assert forward == backward and hash(forward) == hash(backward)
+    assert forward != EvConstSeq({1: 2, 3: 4}, 6) and forward != EvConstSeq({1: 2}, 5)
     with pytest.raises(ValueError):
         EvConstSeq({0: 1}, 0)
 
