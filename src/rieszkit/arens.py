@@ -292,13 +292,4 @@ def _report_arens(tensor: MultiTensor, perm: str, trace: bool) -> dict:
             str(k + 1): {str(mask): _marginal_rows(memo[mask]) for mask in memo if mask}
             for k, memo in trace_marginals(tensor.slices(), perms).items()
         }
-    return build_report(
-        [check("input-dp", verdict.is_dp)],
-        witness=verdict.witness,
-        cost={
-            "permutations": len(perms),
-            "entries": tensor.nnz(),
-            "codomain": tensor.codomain_dim,
-        },
-        detail=detail,
-    )
+    return build_report([check("input-dp", verdict.is_dp)], witness=verdict.witness, detail=detail)

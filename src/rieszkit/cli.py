@@ -62,39 +62,31 @@ def _report_check_dp(tensor: MultiTensor) -> dict:
     return build_report(
         [check("disjointness-preserving", verdict.is_dp)],
         witness=verdict.witness,
-        cost={"entries": tensor.nnz(), "slices": tensor.codomain_dim},
         detail={"certificate": certificate_to_obj(verdict)},
     )
 
 
 def _report_modulus(tensor: MultiTensor) -> dict:
     return build_report(
-        [check("modulus-computed", True, entries=tensor.nnz())],
-        cost={"entries": tensor.nnz()},
+        [check("modulus-computed", True)],
         detail={"modulus": tensor_to_obj(tensor.modulus())},
     )
 
 
 def _report_factorize(tensor: MultiTensor) -> dict:
     try:
-        factorization = factorize_multimorphism(tensor)
+        scale, coords = factorize_multimorphism(tensor)
     except NotDisjointnessPreserving as exc:
         return build_report(
             [check("disjointness-preserving", False)],
             witness=exc.verdict.witness,
         )
-    if factorization.is_zero:
-        detail = {"zero": True}
-    else:
-        detail = {
-            "zero": False,
-            "scale": format_rational(factorization.scale),
-            "coords": [c + 1 for c in factorization.coords],
-        }
     return build_report(
         [check("disjointness-preserving", True), check("factorized", True)],
-        cost={"entries": tensor.nnz()},
-        detail=detail,
+        detail={
+            "scale": format_rational(scale),
+            "coords": None if coords is None else [c + 1 for c in coords],
+        },
     )
 
 
@@ -102,7 +94,6 @@ def _report_rank(tensor: MultiTensor) -> dict:
     basis = tensor.range_sublattice_basis()
     return build_report(
         [check("rank-computed", True, rank=len(basis))],
-        cost={"entries": tensor.nnz(), "atoms": len(set().union(*tensor.slices()))},
         detail={"rank": len(basis), "basis": [vector_to_obj(v) for v in basis]},
     )
 

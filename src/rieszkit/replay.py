@@ -1,7 +1,9 @@
 """The ``replay`` subcommand: re-verify a stored report.
 
-Only three things are read from a stored report: its command, the
-options it recorded (``detail.args``, type-checked against
+Only four things are read from a stored report: its command, its
+``format`` (one other than :data:`rieszkit.report.REPORT_FORMAT`, or none,
+is an input error that names both), the options it recorded
+(``detail.args``, type-checked against
 :data:`rieszkit.cli.RECORDED_OPTIONS`) and its input digest. That command
 is rerun with those options on the given input file through
 :func:`rieszkit.cli.build`, the path every command takes, so every field
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from . import cli
 from .fileformat import SpecFileError, decode_json, decode_utf8, read_bytes
-from .report import build_report, check, report_json
+from .report import REPORT_FORMAT, build_report, check, report_json
 
 
 def _stored_command(stored) -> tuple[str, dict]:
@@ -29,6 +31,9 @@ def _stored_command(stored) -> tuple[str, dict]:
     command = stored.get("command") if isinstance(stored, dict) else None
     if not isinstance(command, str) or command not in cli.RECORDED_OPTIONS:
         raise SpecFileError(f"not a report of a command that replays: {command!r}")
+    found = stored.get("format")  # None when missing
+    if type(found) is not int or found != REPORT_FORMAT:  # true == 1 == 1.0
+        raise SpecFileError(f"report format {found!r} does not replay; this version reads {REPORT_FORMAT}")
     detail = stored.get("detail", {})
     stored_args = detail.get("args", {}) if isinstance(detail, dict) else None
     if not isinstance(stored_args, dict):

@@ -2,17 +2,18 @@
 
 A report is a plain dict rendered either as compact canonical JSON
 (sorted keys, no insignificant whitespace, trailing newline) or as stable
-human text. Identical input and seed produce identical bytes: nothing
-time- or path-dependent goes in (wall time is printed to stderr by the
-CLI, never into the report). Every witness is a DP witness
-(:class:`rieszkit.operators.DPWitness`) that re-verifies by evaluation:
-seq-demo's probe suites raise rather than report a disagreement.
-:func:`build_report` serializes it 1-based to match the file formats;
-:func:`witness_from_obj` reads a printed one back for the tests and the
-benchmark, since replay reads no stored witness. The
-replay command re-encodes the parsed stored report in this compact form
-before comparing, so a report stored in indented form replays just the
-same.
+human text. Its top-level keys are ``checks``, ``command``, ``detail``,
+``format`` (:data:`REPORT_FORMAT`), ``input_digest``, ``ok`` and, when a
+DP decision fails, ``witness``; none restates the input or another field.
+Identical input and seed produce identical bytes: nothing time- or
+path-dependent goes in (wall time goes to stderr). Every witness is a DP
+witness (:class:`rieszkit.operators.DPWitness`) that re-verifies by
+evaluation: seq-demo's probe suites raise rather than report a
+disagreement. :func:`build_report` serializes it 1-based to match the
+file formats; :func:`witness_from_obj` reads a printed one back for the
+tests and the benchmark, since replay reads no stored witness. The replay
+command re-encodes the parsed stored report in this compact form before
+comparing, so a report stored in indented form replays just the same.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from .fileformat import _int_field, index_key
 from .operators import DPVerdict, DPWitness
 from .rational import format_rational, parse_rational
 from .vectors import FinVector
+
+
+# Replay refuses a report of another format; a change to any report's fields bumps it.
+REPORT_FORMAT = 1
 
 
 def input_digest(data: bytes) -> str:
@@ -86,21 +91,16 @@ def build_report(
     checks: list[dict],
     *,
     witness: DPWitness | None = None,
-    cost: dict | None = None,
     detail: dict | None = None,
 ) -> dict:
-    """A report but for what :func:`rieszkit.cli.build` adds: command, digest, args.
-
-    A caller adds any other top-level field itself, as seq-demo adds its seed.
-    """
+    """A report but for what :func:`rieszkit.cli.build` adds: command, digest, args."""
     report = {
         "checks": checks,
+        "format": REPORT_FORMAT,
         "ok": all(c["verdict"] == "pass" for c in checks),
     }
     if witness is not None:
         report["witness"] = witness_to_obj(witness)
-    if cost is not None:
-        report["cost"] = cost
     if detail is not None:
         report["detail"] = detail
     return report
@@ -150,8 +150,6 @@ def _spliced(report: dict) -> str | None:
 
 def render_human(report: dict) -> str:
     lines = [f"command: {report['command']}", f"input: {report['input_digest']}"]
-    if "seed" in report:
-        lines.append(f"seed: {report['seed']}")
     for entry in report["checks"]:
         extras = [
             f"{key}={value}"
@@ -171,8 +169,5 @@ def render_human(report: dict) -> str:
             lines.append(f"  slot {i} fixed at {v}")
         lines.append(f"  image of x = {w['image_x']}")
         lines.append(f"  image of y = {w['image_y']}")
-    if "cost" in report:
-        parts = ", ".join(f"{k}={v}" for k, v in sorted(report["cost"].items()))
-        lines.append(f"cost: {parts}")
     lines.append("result: " + ("ok" if report["ok"] else "FAILED"))
     return "\n".join(lines) + "\n"

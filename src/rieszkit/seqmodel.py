@@ -483,7 +483,7 @@ def _report_seq_demo(operand: EvConstSeq | DiagBilinear | None, seed: int) -> di
         operand = EvConstSeq.constant(1)
     weight = operand.weight if isinstance(operand, DiagBilinear) else operand
     rng = random.Random(seed)
-    probes = sum(
+    diag_probes = sum(
         _check_probes(
             diag_probe_pairs(DiagBilinear(random_seq(rng)), random_seq(rng), random_seq(rng)),
             "diag-extension-agrees",
@@ -498,7 +498,7 @@ def _report_seq_demo(operand: EvConstSeq | DiagBilinear | None, seed: int) -> di
     else:
         rank_check = check("rank", True, basis=indices, hypothesis="finite-rank", rank=rank)
     rng = random.Random(seed + 2)
-    probes += sum(
+    comp_probes = sum(
         _check_probes(
             comp_probe_pairs(random_weighted_comp(rng), random_seq(rng, tail_zero=True)),
             "biadjoint-extends-apply",
@@ -506,13 +506,13 @@ def _report_seq_demo(operand: EvConstSeq | DiagBilinear | None, seed: int) -> di
         for _ in range(20)
     )
     checks = [
-        check("diag-extension-agrees", True, samples=50),
+        check("diag-extension-agrees", True, probes=diag_probes, samples=50),
         check("biadjoint-dp", biadjoint_dp, operators=5),
         check("dual-basis-dp", dual_basis_dp(limit=32), atoms=32),
         rank_check,
         # Slot 1 frozen at the constant 1 leaves v |-> (w_n v_n).
         check("slotwise-dp", slotwise_dp_check(DiagBilinear(weight), EvConstSeq.constant(1))),
-        check("biadjoint-extends-apply", True, samples=20),
+        check("biadjoint-extends-apply", True, probes=comp_probes, samples=20),
     ]
     detail = {"args": {"weight": seq_to_obj(weight)}}
-    return {**build_report(checks, cost={"probes": probes}, detail=detail), "seed": seed}
+    return build_report(checks, detail=detail)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through subprocesses."""
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ import textwrap
 
 import pytest
 
-from helpers import arens_reference, atom_images, non_dp_16x4_spec, read_chain
+from helpers import arens_reference, non_dp_16x4_spec, read_chain
 from rieszkit import FinVector, MultiTensor, Permutation, arens_extension, cli, parse_rational
 from rieszkit.arens import _report_arens
 from rieszkit.fileformat import loads_spec, tensor_to_obj
@@ -158,10 +159,10 @@ def loaded_after(argvs, modules):
 
 # Compile budgets, in AST nodes of the loaded rieszkit sources. A docstring is
 # one node and a comment none, so trimming them cannot meet a budget.
-TENSOR_BUDGET = 7_500
-REPLAY_BUDGET = 7_800
-ARENS_BUDGET = 9_000
-SEQ_DEMO_BUDGET = 10_300
+TENSOR_BUDGET = 7_400
+REPLAY_BUDGET = 7_700
+ARENS_BUDGET = 8_800
+SEQ_DEMO_BUDGET = 10_200
 
 
 def test_tensor_commands_import_only_what_they_run(tmp_path):
@@ -450,8 +451,8 @@ def _int_bits(obj) -> list[int]:
 # without and with --trace. Only at this size do the spliced encoding and
 # the bounded witness both show in the bytes.
 NON_DP_16X4_ARENS_DIGESTS = {
-    (): "6535c1053797c9316200b030c127aa4745cec26f7aab4c6872eab0312392058e",
-    ("--trace",): "bc5cf521f6f5369cfe330b1a389beb8e930374391181a8af0e7131556b98b561",
+    (): "937df5840649b0b617f28f7de2d8cb8a1a31d1b6f34dd9d440355effff0c0e64",
+    ("--trace",): "d5edc64f9977f7303aed2709f763820df5a4ffe6c2788ff34ed348b157b74f91",
 }
 
 
@@ -485,8 +486,6 @@ def test_modulus_and_rank():
     assert rank0["detail"]["rank"] == 0
     rank2 = json.loads(run("rank", fixture("t_vector_dp.json"), "--json").stdout)
     assert rank2["detail"]["rank"] == 2
-    tensor = loads_spec(fixture("t_vector_dp.json").read_text())
-    assert rank2["cost"]["atoms"] == len(atom_images(tensor))
 
 
 def test_factorize_paths():
@@ -498,7 +497,7 @@ def test_factorize_paths():
     assert run("factorize", fixture("t_vector_dp.json")).returncode == 2  # not scalar
     assert run("factorize", fixture("t_diag.json")).returncode == 1
     zero = json.loads(run("factorize", fixture("t_zero.json"), "--json").stdout)
-    assert zero["detail"]["zero"] is True
+    assert zero["detail"]["coords"] is None and zero["detail"]["scale"] == "0"
 
 
 def test_seq_demo_deterministic_and_seeded():
@@ -508,7 +507,7 @@ def test_seq_demo_deterministic_and_seeded():
     assert first.stdout == second.stdout
     seeded = run("seq-demo", "--seed", "5", "--json")
     assert seeded.returncode == 0
-    assert json.loads(seeded.stdout)["seed"] == 5
+    assert json.loads(seeded.stdout)["detail"]["args"]["seed"] == 5
 
 
 @pytest.mark.parametrize(
@@ -540,7 +539,7 @@ def test_seq_demo_exact_rank(capsys, name, rank):
 # diag-bilinear spec). BARE_WEIGHT_REPORT_DIGEST is the sha256 of its
 # seq-demo --seed 7 --json report.
 BARE_WEIGHT = {"exceptions": {"3": "-2/5", "17": "4"}, "tail": "3/2"}
-BARE_WEIGHT_REPORT_DIGEST = "110b28a9d7efaf6fdb4b8f2c487e136dae64c362413245ee6ea12b274c1ccdd3"
+BARE_WEIGHT_REPORT_DIGEST = "066bee8942a8136360959b449022bf3de9c147ddbf15623aaa4c0b3c35face37"
 
 
 def test_bare_sequence_weight_file_report_is_pinned(tmp_path, capsys):
@@ -605,7 +604,7 @@ def test_seq_demo_counts_every_probe(monkeypatch, capsys):
         monkeypatch.setattr(seqmodel, name, counted)
     assert cli.main(["seq-demo", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["cost"]["probes"] == len(yielded) > 0
+    assert sum(c.get("probes", 0) for c in report["checks"]) == len(yielded) > 0
 
 
 def test_empty_weight_file_path_is_an_input_error(tmp_path, capsys):
@@ -784,6 +783,8 @@ def test_witness_past_the_digit_limit_replays_at_the_default_limit(tmp_path, cap
 
 
 TENSOR_COMMANDS = ("check-dp", "arens", "modulus", "factorize", "rank")
+# The top-level keys of every --json report; one whose DP decision fails adds "witness".
+REPORT_KEYS = {"checks", "command", "detail", "format", "input_digest", "ok"}
 
 
 # sha256 over every (argv, mode, exit code, stdout) of the smoke matrix, per
@@ -796,20 +797,20 @@ SMOKE_DIGESTS = {
     "c_shift.json": "6f0b3fe1187aa478d4d179d91876e28bef7bb79132c09595acea4e1b6a509d0b",
     "c_table.json": "7a85a1be5489dea3f02e0e89e8d490375842920f576db693cfa39d832c9c07a4",
     "c_weighted.json": "90421f20a4739787ac163485587b45aff6659e3fd0fcf7cab1c7f7dd75b50b7f",
-    "d_decay.json": "5ecc9b4c5c3c6314ef494c54d561f9ae8f28a593334c023a65e1c934fc22d0e6",
-    "d_neg.json": "bcd54599c177fb0e974abe3fea76aba96f6da6d51bb0f449025bc8d30433c59f",
-    "d_ones.json": "9488a0d1d601cba7cbc4f7934b7e43d067f96be278d12ef40ba2ddfad34b8d64",
-    "d_sparse.json": "5df865040278f1e0f7c67205729dd0b467af7543f5615d04260262f4dfa78822",
-    "d_tailhalf.json": "bbcd7a85c870ade8171583734ff4c1a934838596ce8afba9a105780d9f7b42f9",
-    "d_zero.json": "1ee4a44a6b3cb3c195668dfb0608b381614e165155388e3134083eb737c7d468",
-    "t_cancel.json": "17404ca1e36dd7976a30ed69ec5b94467f4599050189e4853a312669e8d49a9c",
-    "t_diag.json": "55a8d233b283530d9a9aa3c3a458f90e179c71ca7e25767d143daec4a7e3b83e",
-    "t_m1.json": "613a66110686cd2bac105b7a9d1ae734170b01960753dad129039ac931995b75",
-    "t_m3.json": "bb0630a97a48bcc8352697302561e9c653a2e6d897c326ed53c37b6d6fd536b9",
-    "t_m4.json": "8adcaf9e65a8ba73416e4370e02e817a5e78884e2376d6648a032a18e6f2de9e",
-    "t_single.json": "39f0f8a8547b830ef911c89c4d8ee9498164e847d46d012e8feeb791e1461d21",
-    "t_vector_dp.json": "ec26ce3241b0170980ea35193f2ebcbefafb4bca06fea6685a2744f315fcb99a",
-    "t_zero.json": "249da3b0f8f2fb84493ee360bf43b8b425f95f0e55d13ea15d6bead85b72b18a",
+    "d_decay.json": "07827d50703560a22187c85140c5cafd1f103bbce48e0726b6141031487adc34",
+    "d_neg.json": "418505492eb446e0571a439028af9ba9fa2053e91f69081fba66d3d88919d675",
+    "d_ones.json": "6662e8484efd4c4027f124e0adf046853a174f9b4a54eb9a22a6f34262067466",
+    "d_sparse.json": "b759acdf81348478ddb88293465eba7832d0fb604f0a6c11633abf21a4dda4a9",
+    "d_tailhalf.json": "9ad32a856cc47859b4b86323d77a718d05ba49111029c92ebfad8238d9217cf9",
+    "d_zero.json": "73c85112805ba275ee3ad3bd425037432ea1f311e1ddc8a83a8b5bfd2458fc1a",
+    "t_cancel.json": "b399f1147dea5ad566a518f52e9ff072c75b1063c2fb3b9336820b511ddda880",
+    "t_diag.json": "9128f42ec8b49c06ea0359d18a20044e5fa1db7015db4b78ffad95727c17c74f",
+    "t_m1.json": "b6ababa97339cc389c946e964edb912e8c4bb2e7b4d94bb06ef9cb069fe1de46",
+    "t_m3.json": "c9c8783e1f1384d180c1835a78da1e6b69758c7c129761fd66ad1baa0e58fd50",
+    "t_m4.json": "76cc3809cb549c4ac0206d305f578f11c31725feb374c1d47a2a0bd3be6e343f",
+    "t_single.json": "f19425919951c1a0d707cb6d8708ec1bcbe7c05694a25530709bd9eaa781098e",
+    "t_vector_dp.json": "63c9d705255c0df3b99636ff293a351f696d0055c4ee5b5caa7bb3a3271b53fc",
+    "t_zero.json": "2db53d75a277765365eca97919d1a9a2a15cd902f4a8044cb8f7137cadfc0441",
 }
 
 
@@ -838,13 +839,16 @@ def test_exit_code_smoke_matrix(tmp_path, capsys, name):
             assert code in (0, 1, 2) and "Traceback" not in err, (argv, mode, err)
         if code == 2:
             continue
+        # one schema: a command's results sit in its checks and detail
+        assert set(json.loads(out)) == REPORT_KEYS | ({"witness"} if code == 1 else set()), argv
         if code == 1 and argv[0] != "seq-demo":
             assert witness_from_obj(json.loads(out)["witness"]).verify(loads_spec(fixture(name).read_text()))
         stored.write_text(out)
         replay = ["replay", str(stored), path]
         for mode in ([], ["--json"]):
-            code, _, err = main(replay, mode)
+            code, out, err = main(replay, mode)
             assert code == 0 and "Traceback" not in err, (argv, mode, err)
+        assert set(json.loads(out)) == REPORT_KEYS
     assert digest.hexdigest() == SMOKE_DIGESTS.get(name), digest.hexdigest()
 
 
@@ -875,7 +879,8 @@ def test_replay_confirms_and_detects_tampering(tmp_path):
 
 def test_replay_tells_true_and_floats_from_integers(tmp_path):
     # parsed JSON has true == 1 == 1.0, so replay compares canonical bytes,
-    # and a witness index that is not a plain integer is not reproduced
+    # a witness index that is not a plain integer is not reproduced, and a
+    # format that is not the integer 1 is refused
     report_path = tmp_path / "report.json"
     report_path.write_bytes(run("check-dp", fixture("t_diag.json"), "--json").stdout)
     obj = json.loads(report_path.read_text())
@@ -883,10 +888,11 @@ def test_replay_tells_true_and_floats_from_integers(tmp_path):
     for path, value, code, message in [
         (("witness", "out_coord"), True, 1, b"[FAIL] report-reproduced"),
         (("witness", "slot"), 1.0, 1, b"[FAIL] report-reproduced"),
-        (("cost", "entries"), float(obj["cost"]["entries"]), 1, b"[FAIL] report-reproduced"),
+        (("format",), 1.0, 2, b"report format 1.0 does not replay"),
     ]:
         changed = json.loads(report_path.read_text())
-        changed[path[0]][path[1]] = value
+        *parents, key = path
+        functools.reduce(dict.__getitem__, parents, changed)[key] = value
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(changed))
         result = run("replay", tampered, fixture("t_diag.json"))
@@ -909,13 +915,14 @@ def test_replay_of_mangled_extensions_is_a_failed_check(tmp_path):
 def test_replay_refuses_a_bool_seed(tmp_path):
     seq = json.loads(run("seq-demo", "--seed", "1", "--json").stdout)
     path = tmp_path / "seq.json"
-    seq["seed"] = seq["detail"]["args"]["seed"] = True
+    seq["detail"]["args"]["seed"] = True
     path.write_text(json.dumps(seq))
     refused = run("replay", path)
     assert refused.returncode == 2
     assert b"detail.args.seed" in refused.stderr
-    # a seed of true in the report alone is a report that was not reproduced
+    # the seed is held once, in detail.args: a second copy is a report that was not reproduced
     seq["detail"]["args"]["seed"] = 1
+    seq["seed"] = 1
     path.write_text(json.dumps(seq))
     assert run("replay", path).returncode == 1
 
@@ -949,8 +956,25 @@ def _string_vector(report):
     report["witness"]["x"] = "".join(report["witness"]["x"])
 
 
+def _no_format(report):
+    del report["format"]
+
+
+def _bool_format(report):
+    report["format"] = True
+
+
+def _float_format(report):
+    report["format"] = 1.0
+
+
+def _next_format(report):
+    report["format"] = 2
+
+
 # A report field that a rerun reads is an input error (exit 2) when it is
-# malformed. Replay reads no stored witness: a malformed one is a field the
+# malformed; a report of another format than 1, or of none, is one too.
+# Replay reads no stored witness: a malformed one is a field the
 # rerun does not reproduce (exit 1).
 MALFORMED_REPORTS = [
     ("check-dp", _drop_digest, 2, b"input_digest"),
@@ -960,6 +984,10 @@ MALFORMED_REPORTS = [
     ("check-dp", _bool_out_coord, 1, b"[FAIL] report-reproduced"),
     ("check-dp", _float_slot, 1, b"[FAIL] report-reproduced"),
     ("check-dp", _string_vector, 1, b"[FAIL] report-reproduced"),
+    ("check-dp", _no_format, 2, b"report format None does not replay; this version reads 1"),
+    ("rank", _bool_format, 2, b"report format True does not replay; this version reads 1"),
+    ("arens", _float_format, 2, b"report format 1.0 does not replay; this version reads 1"),
+    ("modulus", _next_format, 2, b"report format 2 does not replay; this version reads 1"),
 ]
 
 
