@@ -136,7 +136,8 @@ class ArensResult(NamedTuple):
     """The rho-extension of a tensor, with optional chain trace.
 
     ``tensor`` is the input tensor itself: on these reflexive spaces every
-    extension equals it. ``trace`` is the chain's real content, and is only
+    extension equals it, so the result does not repeat the rho the caller
+    passed. ``trace`` is the chain's real content, and is only
     recorded on request. It maps each output coordinate k to the m + 1
     marginals of its slice on rho's chain, the forms left after each
     all-ones contraction: a dict from contracted-slot bitmask (see
@@ -147,7 +148,6 @@ class ArensResult(NamedTuple):
     is slice k, printed only in the report's tensor.
     """
 
-    permutation: Permutation
     tensor: MultiTensor
     trace: dict[int, dict[int, _Form]] | None = None
 
@@ -165,7 +165,7 @@ def arens_extension(
     if rho.m != tensor.m:
         raise ShapeError(f"permutation arity {rho.m} against tensor arity {tensor.m}")
     trace = trace_marginals(tensor.slices(), [rho]) if with_trace else None
-    return ArensResult(rho, tensor, trace)
+    return ArensResult(tensor, trace)
 
 
 def chain_masks(rho: Permutation) -> list[int]:
@@ -235,8 +235,8 @@ def arens_evaluate(
     if len(biduals) != tensor.m:
         raise ShapeError(f"expected {tensor.m} bidual arguments, got {len(biduals)}")
     for i, (x, d) in enumerate(zip(biduals, tensor.domain_dims)):
-        if x.dim != d:
-            raise ShapeError(f"slot {i}: bidual dim {x.dim}, expected {d}")
+        if len(x) != d:
+            raise ShapeError(f"slot {i}: bidual dim {len(x)}, expected {d}")
     if rho.m != tensor.m:
         raise ShapeError(f"permutation arity {rho.m} against tensor arity {tensor.m}")
     masks = chain_masks(rho)

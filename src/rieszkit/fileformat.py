@@ -199,7 +199,8 @@ def tensor_to_obj(tensor: MultiTensor) -> dict:
                 "idx": [i + 1 for i in idx],
                 "value": format_rational(value),
             }
-            for out, idx, value in tensor.rows()
+            for out, row in enumerate(tensor.slices())
+            for idx, value in sorted(row.items())
         ],
     }
 

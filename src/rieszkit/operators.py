@@ -112,10 +112,6 @@ class MultimorphismFactorization(NamedTuple):
     scale: Fraction
     coords: tuple[int, ...] | None
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coords is None
-
 
 class MultiTensor:
     """Sparse exact tensor of an m-linear operator Q^{d_1} x ... -> Q^c, kept as its slices."""
@@ -162,10 +158,6 @@ class MultiTensor:
         tensor._slices = slices
         return tensor
 
-    @classmethod
-    def zero(cls, domain_dims: Sequence[int], codomain_dim: int) -> "MultiTensor":
-        return cls(domain_dims, codomain_dim, {})
-
     # -- basic shape -------------------------------------------------------
 
     @property
@@ -182,10 +174,6 @@ class MultiTensor:
 
     def entry(self, out_coord: int, idx: tuple[int, ...]) -> Fraction:
         return self._slices[out_coord].get(idx, _ZERO)
-
-    def rows(self) -> list[tuple[int, tuple[int, ...], Fraction]]:
-        """Entries as a deterministically sorted list."""
-        return [(k, idx, v) for k, row in enumerate(self._slices) for idx, v in sorted(row.items())]
 
     def nnz(self) -> int:
         return sum(map(len, self._slices))
@@ -211,8 +199,8 @@ class MultiTensor:
         if len(args) != self.m:
             raise ShapeError(f"expected {self.m} arguments, got {len(args)}")
         for i, (x, d) in enumerate(zip(args, self._dims)):
-            if x.dim != d:
-                raise ShapeError(f"slot {i}: argument dim {x.dim}, expected {d}")
+            if len(x) != d:
+                raise ShapeError(f"slot {i}: argument dim {len(x)}, expected {d}")
         # Per slot, the argument's nonzero coordinates by position. An entry
         # whose index leaves some slot's support contributes nothing, and
         # is skipped by lookups alone, before any Fraction arithmetic.
@@ -228,23 +216,14 @@ class MultiTensor:
 
     # -- entrywise lattice structure ------------------------------------------
 
-    # The modulus and the negative of a nonzero Fraction are nonzero Fractions,
-    # so both keep this tensor's valid keys and skip the validating __init__.
+    # The modulus of a nonzero Fraction is a nonzero Fraction, so it keeps
+    # this tensor's valid keys and skips the validating __init__.
 
     def modulus(self) -> "MultiTensor":
         """|A|: entrywise absolute value; the least positive majorant of A and -A."""
         return MultiTensor._derived(
             self._dims, tuple({idx: abs(v) for idx, v in row.items()} for row in self._slices)
         )
-
-    def __neg__(self) -> "MultiTensor":
-        return MultiTensor._derived(
-            self._dims, tuple({idx: -v for idx, v in row.items()} for row in self._slices)
-        )
-
-    def is_positive(self) -> bool:
-        """A >= 0 in the operator order, i.e. every entry is nonnegative."""
-        return not any(v < 0 for row in self._slices for v in row.values())
 
     # -- slices -----------------------------------------------------------------
 

@@ -98,10 +98,6 @@ class EvConstSeq(CoordinatewiseLattice):
         self._tail = t
 
     @classmethod
-    def zero(cls) -> "EvConstSeq":
-        return cls({}, 0)
-
-    @classmethod
     def constant(cls, value: object) -> "EvConstSeq":
         return cls({}, value)
 

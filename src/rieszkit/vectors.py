@@ -113,20 +113,12 @@ class FinVector(CoordinatewiseLattice):
             raise ValueError("a vector needs at least one coordinate")
 
     @classmethod
-    def zero(cls, dim: int) -> "FinVector":
-        return cls([_ZERO] * dim)
-
-    @classmethod
     def atom(cls, dim: int, index: int) -> "FinVector":
         """Standard unit vector e_index (0-based)."""
         index = operator.index(index)
         if not 0 <= index < dim:
             raise IndexError(f"atom index {index} out of range for dim {dim}")
         return cls([Fraction(1) if i == index else _ZERO for i in range(dim)])
-
-    @classmethod
-    def ones(cls, dim: int) -> "FinVector":
-        return cls([Fraction(1)] * dim)
 
     def coords(self) -> tuple[Fraction, ...]:
         return self._coords
@@ -135,8 +127,6 @@ class FinVector(CoordinatewiseLattice):
 
     def __len__(self) -> int:
         return len(self._coords)
-
-    dim = property(__len__)
 
     def __getitem__(self, i: int) -> Fraction:
         return self._coords[i]
@@ -157,8 +147,8 @@ class FinVector(CoordinatewiseLattice):
         return FinVector(map(fn, self._coords))
 
     def _combine(self, other: "FinVector", fn: Callable[[Fraction, Fraction], Fraction]) -> "FinVector":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if len(self) != len(other):
+            raise ValueError(f"dimension mismatch: {len(self)} vs {len(other)}")
         return FinVector(map(fn, self._coords, other._coords))
 
     def support(self) -> tuple[int, ...]:

@@ -28,14 +28,13 @@ random_vector, disjoint_vector_pair, random_tensor and random_dp_tensor
 draw every property-test input from an explicit random.Random, so any
 run replays from its seed.
 
-The package ships what a CLI path or a benchmark op runs, plus a few
-small pieces of the library API that neither runs (arens_evaluate,
-MultiTensor.__neg__, is_positive and zero, FinVector.ones). The other
-operations that only the tests use (the MultiTensor vector-space and
-lattice operations, atom_images, evaluate, dot, is_finitely_supported
-and the spec writers dumps_spec, spec_to_obj, diag_to_obj and
-comp_to_obj) are plain functions here, built through the validating
-constructors.
+The package ships what a CLI path or a benchmark op runs, plus
+arens_evaluate, which neither runs but the README's library example
+shows. The operations that only the tests use (the MultiTensor
+vector-space and lattice operations, negation among them as scale by
+-1, is_positive, atom_images, evaluate, dot, is_finitely_supported and
+the spec writers dumps_spec, spec_to_obj, diag_to_obj and comp_to_obj)
+are plain functions here, built through the validating constructors.
 """
 
 from __future__ import annotations
@@ -133,8 +132,13 @@ def sub(a: MultiTensor, b: MultiTensor) -> MultiTensor:
 def scale(tensor: MultiTensor, scalar) -> MultiTensor:
     s = as_fraction(scalar)
     if s == 0:
-        return MultiTensor.zero(tensor.domain_dims, tensor.codomain_dim)
+        return MultiTensor(tensor.domain_dims, tensor.codomain_dim, {})
     return _map_entries(tensor, lambda v: s * v)
+
+
+def is_positive(tensor: MultiTensor) -> bool:
+    """A >= 0 in the operator order, i.e. every entry is nonnegative."""
+    return all(v >= 0 for _, v in tensor.items())
 
 
 def leq(a: MultiTensor, b: MultiTensor) -> bool:
@@ -154,7 +158,7 @@ def is_riesz_multimorphism(tensor: MultiTensor) -> bool:
     For positive operators this is equivalent to the modulus identity
     |A(x_1, ..., x_m)| = A(|x_1|, ..., |x_m|) holding everywhere.
     """
-    return tensor.is_positive() and tensor.is_dp().is_dp
+    return is_positive(tensor) and tensor.is_dp().is_dp
 
 
 def atom_images(tensor: MultiTensor) -> list[FinVector]:
@@ -177,8 +181,8 @@ def evaluate(factorization: MultimorphismFactorization, args) -> Fraction:
 
 def dot(x: FinVector, f: FinVector) -> Fraction:
     """Evaluation pairing sum_i x_i * f_i."""
-    if x.dim != f.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {f.dim}")
+    if len(x) != len(f):
+        raise ValueError(f"dimension mismatch: {len(x)} vs {len(f)}")
     return sum((a * b for a, b in zip(x, f)), Fraction(0))
 
 
@@ -319,7 +323,7 @@ def dp_oracle(tensor: MultiTensor) -> bool:
     most one coordinate of each slot, and arbitrary disjoint arguments
     only shrink image supports below these generic ones.
     """
-    rows = tensor.rows()
+    rows = [(k, idx, v) for (k, idx), v in tensor.items()]
     if not rows:
         return True
     m, dims = tensor.m, tensor.domain_dims
@@ -410,7 +414,7 @@ def closure_basis_oracle(tensor: MultiTensor) -> list[FinVector]:
     basis = _rref_basis(atom_images(tensor))
     if not basis:
         return []
-    zero = FinVector.zero(tensor.codomain_dim)
+    zero = FinVector([0] * tensor.codomain_dim)
     while True:
         candidates = []
         for i, w in enumerate(basis):
@@ -426,7 +430,7 @@ def closure_basis_oracle(tensor: MultiTensor) -> list[FinVector]:
 
 def modulus_oracle(tensor: MultiTensor) -> MultiTensor:
     """Pointwise least positive majorant of A and -A, built independently."""
-    rows = [(k, idx, max(v, -v)) for k, idx, v in tensor.rows()]
+    rows = [(k, idx, max(v, -v)) for (k, idx), v in tensor.items()]
     return from_rows(tensor.domain_dims, tensor.codomain_dim, rows)
 
 
@@ -760,7 +764,7 @@ def sample_disjoint_pair(rng: random.Random) -> tuple[EvConstSeq, EvConstSeq]:
     """A structured disjoint pair: tail-split, finite-finite, or a zero edge."""
     kind = rng.choice(["tail_split", "finite", "zero"])
     if kind == "zero":
-        return EvConstSeq.zero(), random_seq(rng)
+        return EvConstSeq(), random_seq(rng)
     indices = list(range(1, 11))
     rng.shuffle(indices)
     cut = rng.randint(1, 6)

@@ -263,7 +263,7 @@ def test_trace_scalar_is_all_ones_value():
     t = MultiTensor((2, 2), 1, {(0, (0, 1)): F(3)})
     rho = Permutation.identity(2)
     result = arens_extension(t, rho, with_trace=True)
-    ones = [FinVector.ones(2), FinVector.ones(2)]
+    ones = [FinVector([1, 1]), FinVector([1, 1])]
     *_, (dims, labels, entries) = read_chain(t.domain_dims, rho, result.trace[0])
     assert dims == labels == ()
     assert entries[()] == t.apply(ones)[0]
@@ -330,7 +330,7 @@ def test_scalar_pairings_of_disjoint_images_need_not_be_disjoint():
     t = MultiTensor((2, 2), 2, {(0, (0, 0)): F(1), (1, (1, 1)): F(1)})
     assert t.is_dp().is_dp
     e1, e2 = FinVector.atom(2, 0), FinVector.atom(2, 1)
-    ones = FinVector.ones(2)
+    ones = FinVector([1, 1])
     y_star = FinVector([1, 1])
     for rho in all_permutations(2):
         u = arens_evaluate(t, rho, [e1, ones])

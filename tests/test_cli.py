@@ -159,10 +159,10 @@ def loaded_after(argvs, modules):
 
 # Compile budgets, in AST nodes of the loaded rieszkit sources. A docstring is
 # one node and a comment none, so trimming them cannot meet a budget.
-TENSOR_BUDGET = 7_400
-REPLAY_BUDGET = 7_700
-ARENS_BUDGET = 8_800
-SEQ_DEMO_BUDGET = 10_200
+TENSOR_BUDGET = 7_100
+REPLAY_BUDGET = 7_500
+ARENS_BUDGET = 8_600
+SEQ_DEMO_BUDGET = 9_900
 
 
 def test_tensor_commands_import_only_what_they_run(tmp_path):

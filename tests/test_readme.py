@@ -1,8 +1,12 @@
 """The examples in README.md run and say what the code does."""
 
+import doctest
+import importlib
 import pathlib
+import pkgutil
 import re
 
+import rieszkit
 from rieszkit import cli
 from rieszkit.fileformat import loads_spec
 
@@ -21,6 +25,16 @@ def test_python_blocks_run():
     namespace = {}
     for source in found:
         exec(compile(source, "README.md", "exec"), namespace)
+
+
+def test_docstring_examples_run():
+    failed = attempted = 0
+    names = [info.name for info in pkgutil.iter_modules(rieszkit.__path__, "rieszkit.")]
+    for module in [rieszkit, *map(importlib.import_module, names)]:
+        result = doctest.testmod(module)
+        failed += result.failed
+        attempted += result.attempted
+    assert failed == 0 and attempted >= 3
 
 
 def test_json_blocks_are_specs():

@@ -54,7 +54,7 @@ def test_canonical_form():
     s = EvConstSeq({1: 2, 3: 5, 4: 5}, 5)
     assert s.exceptions == {1: F(2)}  # entries equal to the tail dissolve
     assert s.value_at(3) == 5 and s.value_at(100) == 5
-    assert EvConstSeq({2: 0}, 0) == EvConstSeq.zero()
+    assert EvConstSeq({2: 0}, 0) == EvConstSeq()
     # equality and hashing ignore the order the exceptions were given in
     forward, backward = EvConstSeq({1: 2, 3: 4}, 5), EvConstSeq({3: 4, 1: 2}, 5)
     assert list(forward.exceptions) != list(backward.exceptions)
@@ -76,7 +76,7 @@ def test_tail_decides():
     # each sequence below has no exception that decides it, so only the tail can
     assert not EvConstSeq.constant(-1).is_positive()
     assert not EvConstSeq.constant(3).is_zero()
-    assert not EvConstSeq({1: 1}, -1).leq(EvConstSeq.zero())
+    assert not EvConstSeq({1: 1}, -1).leq(EvConstSeq())
     assert EvConstSeq.constant(-2).neg() == EvConstSeq.constant(2)
 
 
@@ -282,7 +282,7 @@ def test_biadjoint_dp():
     T = left_shift()
     u, v = EvConstSeq.atom(1), EvConstSeq({1: 0}, 1)
     assert comp_biadjoint(T, u).is_disjoint(comp_biadjoint(T, v))
-    assert comp_biadjoint(T, EvConstSeq.zero()).is_zero()
+    assert comp_biadjoint(T, EvConstSeq()).is_zero()
     assert biadjoint_dp_check(T, samples=50, seed=0)
     rng = random.Random(7)
     for _ in range(10):
@@ -368,7 +368,7 @@ def test_lattice_rank_matches_truncations_and_oracle(weight):
 
 def test_lattice_rank_of_fixtures():
     assert diag_lattice_rank(DiagBilinear(EvConstSeq.atom(1))) == (1, [1])
-    assert diag_lattice_rank(DiagBilinear(EvConstSeq.zero())) == (0, [])
+    assert diag_lattice_rank(DiagBilinear(EvConstSeq())) == (0, [])
     rank, atoms = diag_lattice_rank(DiagBilinear(EvConstSeq({4: 3}, F(1, 2))))
     assert rank is None and atoms == list(range(5, 37))
 
@@ -388,7 +388,7 @@ def test_slotwise_dp():
     fixed = ONES
     v, v_hat = EvConstSeq.atom(1), EvConstSeq({1: 0}, 1)
     assert diag_arens(op, fixed, v).is_disjoint(diag_arens(op, fixed, v_hat))
-    assert diag_arens(op, EvConstSeq.zero(), v).is_zero()
+    assert diag_arens(op, EvConstSeq(), v).is_zero()
     assert slotwise_dp_check(op, fixed, samples=50, seed=0)
     rng = random.Random(8)
     for _ in range(5):

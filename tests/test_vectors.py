@@ -82,8 +82,7 @@ def test_atoms_and_basics():
     assert e0.is_disjoint(e2)
     assert not e0.is_disjoint(e0)
     assert e0.sup(e2) == FinVector(["1", "0", "1"])
-    assert FinVector.ones(2) == FinVector([1, 1])
-    assert FinVector.zero(4).is_zero()
+    assert FinVector([0] * 4).is_zero()
     assert dot(e0, FinVector([5, 7, 9])) == 5
 
 
