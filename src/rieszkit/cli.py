@@ -32,7 +32,6 @@ import time
 
 from .fileformat import (
     SpecFileError,
-    canonical_json,
     decode_json,
     decode_utf8,
     parse_spec,
@@ -67,10 +66,7 @@ def _report_check_dp(tensor: MultiTensor) -> dict:
 
 
 def _report_modulus(tensor: MultiTensor) -> dict:
-    return build_report(
-        [check("modulus-computed", True)],
-        detail={"modulus": tensor_to_obj(tensor.modulus())},
-    )
+    return build_report([], detail={"modulus": tensor_to_obj(tensor.modulus())})
 
 
 def _report_factorize(tensor: MultiTensor) -> dict:
@@ -82,7 +78,7 @@ def _report_factorize(tensor: MultiTensor) -> dict:
             witness=exc.verdict.witness,
         )
     return build_report(
-        [check("disjointness-preserving", True), check("factorized", True)],
+        [check("disjointness-preserving", True)],
         detail={
             "scale": format_rational(scale),
             "coords": None if coords is None else [c + 1 for c in coords],
@@ -115,9 +111,10 @@ def build(command: str, path: str | None, options: dict) -> dict:
 
     The one reader of spec files: the file's operator, parsed with the kinds
     ``command`` takes, or None without a file, goes to the builder with
-    ``options`` (:data:`RECORDED_OPTIONS`), which then join its
-    ``detail.args``. The input digest is of the file, or else of those args.
-    Builders are looked up per call, so a test can swap one.
+    ``options`` (:data:`RECORDED_OPTIONS`). Only this function writes
+    ``detail.args``, exactly ``options``, and the input digest, of the
+    file's bytes or of no bytes without a file. Builders are looked up per
+    call, so a test can swap one.
     """
     kinds = ("tensor",)
     if command == "seq-demo":
@@ -135,9 +132,8 @@ def build(command: str, path: str | None, options: dict) -> dict:
     data = None if path is None else read_bytes(path)
     operand = None if data is None else parse_spec(decode_json(decode_utf8(data)), kinds, command)
     report = {"command": command, **builder(operand, **options)}
-    args = report.setdefault("detail", {}).setdefault("args", {})
-    args.update(options)
-    report["input_digest"] = input_digest(canonical_json(args).encode() if data is None else data)
+    report.setdefault("detail", {})["args"] = options
+    report["input_digest"] = input_digest(b"" if data is None else data)
     return report
 
 

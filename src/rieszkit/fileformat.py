@@ -10,11 +10,6 @@ and the three kinds other than a bare sequence carry a format version.
 Duplicate tensor entries are rejected rather than merged. The parsers of
 the two operator kinds on sequences live in :mod:`rieszkit.seqmodel`,
 which only a sequence kind loads.
-
-:func:`canonical_json` is the canonical spec text (sorted keys, fixed
-indentation, trailing newline), so identical objects produce identical
-bytes; seq-demo digests its default weight in it. CLI reports use a
-compact canonical form instead (:func:`rieszkit.report.report_json`).
 """
 
 from __future__ import annotations
@@ -59,10 +54,6 @@ def decode_utf8(data: bytes, what: str = "spec file") -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SpecFileError(f"{what} is not UTF-8 text: {exc}") from exc
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _require_dict(obj, what: str) -> dict:
@@ -217,15 +208,6 @@ def parse_seq(obj, what: str = "sequence") -> EvConstSeq:
         index = index_key(key, f"{what}: exception index")
         exc[index] = _rational_field(raw, f"{what}.exceptions[{key}]")
     return EvConstSeq(exc, _rational_field(obj["tail"], f"{what}.tail"))
-
-
-def seq_to_obj(seq: EvConstSeq) -> dict:
-    return {
-        "exceptions": {
-            str(k): format_rational(v) for k, v in sorted(seq.exceptions.items())
-        },
-        "tail": format_rational(seq.tail),
-    }
 
 
 def parse_spec(

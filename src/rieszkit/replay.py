@@ -32,7 +32,7 @@ def _stored_command(stored) -> tuple[str, dict]:
     if not isinstance(command, str) or command not in cli.RECORDED_OPTIONS:
         raise SpecFileError(f"not a report of a command that replays: {command!r}")
     found = stored.get("format")  # None when missing
-    if type(found) is not int or found != REPORT_FORMAT:  # true == 1 == 1.0
+    if type(found) is not int or found != REPORT_FORMAT:  # 2.0 == 2
         raise SpecFileError(f"report format {found!r} does not replay; this version reads {REPORT_FORMAT}")
     detail = stored.get("detail", {})
     stored_args = detail.get("args", {}) if isinstance(detail, dict) else None

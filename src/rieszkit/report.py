@@ -2,9 +2,12 @@
 
 A report is a plain dict rendered either as compact canonical JSON
 (sorted keys, no insignificant whitespace, trailing newline) or as stable
-human text. Its top-level keys are ``checks``, ``command``, ``detail``,
-``format`` (:data:`REPORT_FORMAT`), ``input_digest``, ``ok`` and, when a
-DP decision fails, ``witness``; none restates the input or another field.
+human text, which shows only the checks and the witness besides the
+command, digest and verdict (``detail`` needs JSON). Its top-level keys
+are ``checks``, ``command``, ``detail``, ``format``
+(:data:`REPORT_FORMAT`), ``input_digest``, ``ok`` and, when a DP decision
+fails, ``witness``; none restates the input or another field, and only
+:func:`rieszkit.cli.build` writes ``detail.args`` and ``input_digest``.
 Identical input and seed produce identical bytes: nothing time- or
 path-dependent goes in (wall time goes to stderr). Every witness is a DP
 witness (:class:`rieszkit.operators.DPWitness`) that re-verifies by
@@ -28,7 +31,7 @@ from .vectors import FinVector
 
 
 # Replay refuses a report of another format; a change to any report's fields bumps it.
-REPORT_FORMAT = 1
+REPORT_FORMAT = 2
 
 
 def input_digest(data: bytes) -> str:
@@ -154,7 +157,7 @@ def render_human(report: dict) -> str:
         extras = [
             f"{key}={value}"
             for key, value in sorted(entry.items())
-            if key not in ("name", "verdict") and not isinstance(value, dict)
+            if key not in ("name", "verdict")
         ]
         suffix = f"  ({', '.join(extras)})" if extras else ""
         lines.append(f"  [{entry['verdict'].upper():4}] {entry['name']}{suffix}")

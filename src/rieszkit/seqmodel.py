@@ -53,7 +53,6 @@ from .fileformat import (
     _require_dict,
     index_key,
     parse_seq,
-    seq_to_obj,
 )
 from .operators import ShapeError, _contract_entries
 from .rational import as_fraction
@@ -510,5 +509,4 @@ def _report_seq_demo(operand: EvConstSeq | DiagBilinear | None, seed: int) -> di
         check("slotwise-dp", slotwise_dp_check(DiagBilinear(weight), EvConstSeq.constant(1))),
         check("biadjoint-extends-apply", True, probes=comp_probes, samples=20),
     ]
-    detail = {"args": {"weight": seq_to_obj(weight)}}
-    return build_report(checks, detail=detail)
+    return build_report(checks)

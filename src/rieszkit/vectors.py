@@ -47,10 +47,10 @@ class CoordinatewiseLattice:
     def __neg__(self) -> "CoordinatewiseLattice":
         return self._map(operator.neg)
 
-    def scale(self, scalar) -> "CoordinatewiseLattice":
+    def __mul__(self, scalar) -> "CoordinatewiseLattice":
         return self._map(as_fraction(scalar).__mul__)
 
-    __mul__ = __rmul__ = scale
+    __rmul__ = __mul__
 
     # -- lattice structure -----------------------------------------------
 
@@ -71,14 +71,12 @@ class CoordinatewiseLattice:
         """Negative part x- = (-x)+, so x = pos() - neg()."""
         return (-self).pos()
 
-    def leq(self, other: "CoordinatewiseLattice") -> bool:
-        """Coordinatewise partial order: x <= y exactly when sup(x, y) = y."""
+    def __le__(self, other: "CoordinatewiseLattice") -> bool:
+        """Coordinatewise partial order: x <= y exactly when sup(x, y) = y.
+
+        ``y >= x`` is answered by this method too, reflected.
+        """
         return self.sup(other) == other
-
-    __le__ = leq
-
-    def __ge__(self, other: "CoordinatewiseLattice") -> bool:
-        return other.leq(self)
 
     def is_positive(self) -> bool:
         return min(self._values()) >= 0

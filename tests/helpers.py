@@ -33,13 +33,15 @@ arens_evaluate, which neither runs but the README's library example
 shows. The operations that only the tests use (the MultiTensor
 vector-space and lattice operations, negation among them as scale by
 -1, is_positive, atom_images, evaluate, dot, is_finitely_supported and
-the spec writers dumps_spec, spec_to_obj, diag_to_obj and comp_to_obj)
-are plain functions here, built through the validating constructors.
+the spec writers canonical_json, seq_to_obj, dumps_spec, spec_to_obj,
+diag_to_obj and comp_to_obj) are plain functions here, built through
+the validating constructors.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -60,14 +62,13 @@ from rieszkit.fileformat import (
     _int_field,
     _rational_field,
     _require_dict,
-    canonical_json,
     decode_utf8,
     loads_spec,
     read_bytes,
-    seq_to_obj,
     tensor_to_obj,
 )
 from rieszkit.operators import MultimorphismFactorization
+from rieszkit.rational import format_rational
 from rieszkit.seqmodel import (
     DiagBilinear,
     EvConstSeq,
@@ -188,6 +189,20 @@ def dot(x: FinVector, f: FinVector) -> Fraction:
 
 def is_finitely_supported(seq: EvConstSeq) -> bool:
     return seq.tail == 0
+
+
+def canonical_json(obj) -> str:
+    """The canonical spec text: sorted keys, fixed indentation, a trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def seq_to_obj(seq: EvConstSeq) -> dict:
+    return {
+        "exceptions": {
+            str(k): format_rational(v) for k, v in sorted(seq.exceptions.items())
+        },
+        "tail": format_rational(seq.tail),
+    }
 
 
 def diag_to_obj(op: DiagBilinear) -> dict:

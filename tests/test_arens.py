@@ -306,7 +306,7 @@ def test_pairing_identities_dp_tensors():
         dims = tuple(rng.choice([2, 3]) for _ in range(m))
         t = random_dp_tensor(rng, dims, 2)
         for k in range(2):
-            y_dual = FinVector.atom(2, k).scale(F(rng.randint(1, 3)))
+            y_dual = FinVector.atom(2, k) * F(rng.randint(1, 3))
             assert pairing_identities(t, y_dual, samples=10, seed=rng.randint(0, 99))
 
 

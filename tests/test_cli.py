@@ -159,10 +159,10 @@ def loaded_after(argvs, modules):
 
 # Compile budgets, in AST nodes of the loaded rieszkit sources. A docstring is
 # one node and a comment none, so trimming them cannot meet a budget.
-TENSOR_BUDGET = 7_100
-REPLAY_BUDGET = 7_500
-ARENS_BUDGET = 8_600
-SEQ_DEMO_BUDGET = 9_900
+TENSOR_BUDGET = 7_000
+REPLAY_BUDGET = 7_400
+ARENS_BUDGET = 8_400
+SEQ_DEMO_BUDGET = 9_800
 
 
 def test_tensor_commands_import_only_what_they_run(tmp_path):
@@ -451,8 +451,8 @@ def _int_bits(obj) -> list[int]:
 # without and with --trace. Only at this size do the spliced encoding and
 # the bounded witness both show in the bytes.
 NON_DP_16X4_ARENS_DIGESTS = {
-    (): "937df5840649b0b617f28f7de2d8cb8a1a31d1b6f34dd9d440355effff0c0e64",
-    ("--trace",): "d5edc64f9977f7303aed2709f763820df5a4ffe6c2788ff34ed348b157b74f91",
+    (): "cc03c5786613152b3e5615a49a270e291d904615745e0ba1a0b0070a63b3bfb8",
+    ("--trace",): "49b7827a5dfd66f5d54c915d8dae4538d4b81626b64df921d8ce5fad93b4718a",
 }
 
 
@@ -500,7 +500,17 @@ def test_factorize_paths():
     assert zero["detail"]["coords"] is None and zero["detail"]["scale"] == "0"
 
 
-def test_seq_demo_deterministic_and_seeded():
+def assert_recorded(command, report, named):
+    """detail.args holds exactly the options ``command`` records (replay: its
+    stored command), and input_digest is of the bytes of the file ``named``
+    on the command line (replay: the spec), or of no bytes without one."""
+    keys = {"command"} if command == "replay" else set(cli.RECORDED_OPTIONS[command])
+    assert set(report["detail"]["args"]) == keys, (command, report["detail"]["args"])
+    data = b"" if named is None else pathlib.Path(named).read_bytes()
+    assert report["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest(), command
+
+
+def test_seq_demo_deterministic_and_seeded(tmp_path):
     first = run("seq-demo", "--json")
     second = run("seq-demo", "--json")
     assert first.returncode == second.returncode == 0
@@ -508,6 +518,13 @@ def test_seq_demo_deterministic_and_seeded():
     seeded = run("seq-demo", "--seed", "5", "--json")
     assert seeded.returncode == 0
     assert json.loads(seeded.stdout)["detail"]["args"]["seed"] == 5
+    # no file named: the digest is of no bytes, for the report and its replay
+    assert_recorded("seq-demo", json.loads(seeded.stdout), None)
+    stored = tmp_path / "report.json"
+    stored.write_bytes(seeded.stdout)
+    replayed = run("replay", stored, "--json")
+    assert replayed.returncode == 0
+    assert_recorded("replay", json.loads(replayed.stdout), None)
 
 
 @pytest.mark.parametrize(
@@ -539,7 +556,7 @@ def test_seq_demo_exact_rank(capsys, name, rank):
 # diag-bilinear spec). BARE_WEIGHT_REPORT_DIGEST is the sha256 of its
 # seq-demo --seed 7 --json report.
 BARE_WEIGHT = {"exceptions": {"3": "-2/5", "17": "4"}, "tail": "3/2"}
-BARE_WEIGHT_REPORT_DIGEST = "066bee8942a8136360959b449022bf3de9c147ddbf15623aaa4c0b3c35face37"
+BARE_WEIGHT_REPORT_DIGEST = "93dcc00fdb1943dcfabdce2fbf99a01cb6de27a15defd358af55aaadd87b1945"
 
 
 def test_bare_sequence_weight_file_report_is_pinned(tmp_path, capsys):
@@ -797,20 +814,20 @@ SMOKE_DIGESTS = {
     "c_shift.json": "6f0b3fe1187aa478d4d179d91876e28bef7bb79132c09595acea4e1b6a509d0b",
     "c_table.json": "7a85a1be5489dea3f02e0e89e8d490375842920f576db693cfa39d832c9c07a4",
     "c_weighted.json": "90421f20a4739787ac163485587b45aff6659e3fd0fcf7cab1c7f7dd75b50b7f",
-    "d_decay.json": "07827d50703560a22187c85140c5cafd1f103bbce48e0726b6141031487adc34",
-    "d_neg.json": "418505492eb446e0571a439028af9ba9fa2053e91f69081fba66d3d88919d675",
-    "d_ones.json": "6662e8484efd4c4027f124e0adf046853a174f9b4a54eb9a22a6f34262067466",
-    "d_sparse.json": "b759acdf81348478ddb88293465eba7832d0fb604f0a6c11633abf21a4dda4a9",
-    "d_tailhalf.json": "9ad32a856cc47859b4b86323d77a718d05ba49111029c92ebfad8238d9217cf9",
-    "d_zero.json": "73c85112805ba275ee3ad3bd425037432ea1f311e1ddc8a83a8b5bfd2458fc1a",
-    "t_cancel.json": "b399f1147dea5ad566a518f52e9ff072c75b1063c2fb3b9336820b511ddda880",
-    "t_diag.json": "9128f42ec8b49c06ea0359d18a20044e5fa1db7015db4b78ffad95727c17c74f",
-    "t_m1.json": "b6ababa97339cc389c946e964edb912e8c4bb2e7b4d94bb06ef9cb069fe1de46",
-    "t_m3.json": "c9c8783e1f1384d180c1835a78da1e6b69758c7c129761fd66ad1baa0e58fd50",
-    "t_m4.json": "76cc3809cb549c4ac0206d305f578f11c31725feb374c1d47a2a0bd3be6e343f",
-    "t_single.json": "f19425919951c1a0d707cb6d8708ec1bcbe7c05694a25530709bd9eaa781098e",
-    "t_vector_dp.json": "63c9d705255c0df3b99636ff293a351f696d0055c4ee5b5caa7bb3a3271b53fc",
-    "t_zero.json": "2db53d75a277765365eca97919d1a9a2a15cd902f4a8044cb8f7137cadfc0441",
+    "d_decay.json": "630c8e4fbf0398a6dea35f3433b768b37c3009d0981b4bf7267ec9d461e49d80",
+    "d_neg.json": "11433a741b9c32834417d28bf05420fb9e49135ed40732adc8e78c961d0d782b",
+    "d_ones.json": "c4fee3311298d0e48de5796fca8baddd2301172a2e083d3d53fd0c897a2cb935",
+    "d_sparse.json": "d41c0b39825425222d094ec7018fdd8c6722e24c1489a57f3ece7bf15c2e8b1d",
+    "d_tailhalf.json": "ec9c6d2f95527d37c28b1ff2cb022f89ba459bebdc038d8377998d7fea55f487",
+    "d_zero.json": "9153f1d74fb849af104f3a0a1e8685168d396ebcb51dbf93d190909969c14a27",
+    "t_cancel.json": "ce0a7d68001f6e378639968ff0e556ec14b3ca13bd2aa450d7d8f0742673fcd1",
+    "t_diag.json": "2d8becbd4401ff32a454c18ffbbbff2316784ed26e72172eece4d65892ffb1f5",
+    "t_m1.json": "727e21a4b7f7f7ba5ae3b65bcbe47d33240b2579ce440e633b9dd69fce28fbfe",
+    "t_m3.json": "fd84f0958520360367aceda168f581f21be45e3949d667c6aaa803a2b2a7a9e5",
+    "t_m4.json": "90908869d2f96fe12c50fec8b18cca5f816b89754f49e3bb5df80810ed86dd79",
+    "t_single.json": "e936a7a8b630b187da4fd57e9916217177ee43d1449ef92cc486ed5a8c45aa03",
+    "t_vector_dp.json": "f2233382abda90aad2d420bd37ea4cd9902e3fa48a2864a013e35d03e75e41cb",
+    "t_zero.json": "baeeaee2023c2903de4cd68d4d2a7379cb618c533dfa1cc76ca63d4220375e80",
 }
 
 
@@ -827,6 +844,8 @@ def test_exit_code_smoke_matrix(tmp_path, capsys, name):
         out, err = capsys.readouterr()
         names = [{path: name, str(stored): stored.name}.get(a, a) for a in argv]
         digest.update(json.dumps([names, mode, code, out]).encode() + b"\n")
+        if mode and code != 2:  # every report names the fixture, as its input or the spec
+            assert_recorded(argv[0], json.loads(out), path)
         return code, out, err
 
     argvs = [[c, path] for c in TENSOR_COMMANDS] + [
@@ -880,7 +899,7 @@ def test_replay_confirms_and_detects_tampering(tmp_path):
 def test_replay_tells_true_and_floats_from_integers(tmp_path):
     # parsed JSON has true == 1 == 1.0, so replay compares canonical bytes,
     # a witness index that is not a plain integer is not reproduced, and a
-    # format that is not the integer 1 is refused
+    # format that is not the integer 2 is refused
     report_path = tmp_path / "report.json"
     report_path.write_bytes(run("check-dp", fixture("t_diag.json"), "--json").stdout)
     obj = json.loads(report_path.read_text())
@@ -888,7 +907,7 @@ def test_replay_tells_true_and_floats_from_integers(tmp_path):
     for path, value, code, message in [
         (("witness", "out_coord"), True, 1, b"[FAIL] report-reproduced"),
         (("witness", "slot"), 1.0, 1, b"[FAIL] report-reproduced"),
-        (("format",), 1.0, 2, b"report format 1.0 does not replay"),
+        (("format",), 2.0, 2, b"report format 2.0 does not replay"),
     ]:
         changed = json.loads(report_path.read_text())
         *parents, key = path
@@ -965,15 +984,15 @@ def _bool_format(report):
 
 
 def _float_format(report):
-    report["format"] = 1.0
+    report["format"] = 2.0
 
 
 def _next_format(report):
-    report["format"] = 2
+    report["format"] = 3
 
 
 # A report field that a rerun reads is an input error (exit 2) when it is
-# malformed; a report of another format than 1, or of none, is one too.
+# malformed; a report of another format than 2, or of none, is one too.
 # Replay reads no stored witness: a malformed one is a field the
 # rerun does not reproduce (exit 1).
 MALFORMED_REPORTS = [
@@ -984,10 +1003,10 @@ MALFORMED_REPORTS = [
     ("check-dp", _bool_out_coord, 1, b"[FAIL] report-reproduced"),
     ("check-dp", _float_slot, 1, b"[FAIL] report-reproduced"),
     ("check-dp", _string_vector, 1, b"[FAIL] report-reproduced"),
-    ("check-dp", _no_format, 2, b"report format None does not replay; this version reads 1"),
-    ("rank", _bool_format, 2, b"report format True does not replay; this version reads 1"),
-    ("arens", _float_format, 2, b"report format 1.0 does not replay; this version reads 1"),
-    ("modulus", _next_format, 2, b"report format 2 does not replay; this version reads 1"),
+    ("check-dp", _no_format, 2, b"report format None does not replay; this version reads 2"),
+    ("rank", _bool_format, 2, b"report format True does not replay; this version reads 2"),
+    ("arens", _float_format, 2, b"report format 2.0 does not replay; this version reads 2"),
+    ("modulus", _next_format, 2, b"report format 3 does not replay; this version reads 2"),
 ]
 
 
@@ -1045,9 +1064,17 @@ def _other_digest(report):
     report["input_digest"] = "sha256:" + "0" * 64
 
 
-def _respelled_weight(report):
-    assert report["detail"]["args"]["weight"]["tail"] == "1"
-    report["detail"]["args"]["weight"]["tail"] = "2/2"
+def _stray_weight(report):
+    # the weight copy that format-1 seq-demo reports held
+    report["detail"]["args"]["weight"] = {"exceptions": {}, "tail": "1"}
+
+
+def _next_seed(report):
+    report["detail"]["args"]["seed"] += 1
+
+
+def _other_perm(report):
+    report["detail"]["args"]["perm"] = "id"
 
 
 @pytest.mark.parametrize("case", sorted(STORED_REPORTS))
@@ -1069,11 +1096,15 @@ def test_replay_recomputes_every_field(tmp_path, capsys, case):
         return code
 
     assert replay(json.loads(fresh), *inputs) == 0
-    tamperings = [_extra_arg, _other_digest] + ([_respelled_weight] if argv[0] == "seq-demo" else [])
-    for tamper in tamperings:
+    for tamper in (_extra_arg, _other_digest):
         report = json.loads(fresh)
         tamper(report)
         assert replay(report, *inputs) != 0, tamper.__name__
+    # an edited or stray option is one verdict, whatever the input: not reproduced
+    for tamper in {"seq-demo": [_stray_weight, _next_seed], "arens": [_other_perm]}.get(argv[0], []):
+        report = json.loads(fresh)
+        tamper(report)
+        assert replay(report, *inputs) == 1, tamper.__name__
     if argv[0] == "seq-demo" and inputs:
         assert replay(json.loads(fresh)) == 2  # the default weight has another digest
 

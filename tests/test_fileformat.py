@@ -10,15 +10,20 @@ import pytest
 from rieszkit import EvConstSeq, MultiTensor, cli
 from rieszkit.fileformat import (
     SpecFileError,
-    canonical_json,
     loads_spec,
     parse_seq,
     parse_spec,
     parse_tensor,
-    seq_to_obj,
 )
 
-from helpers import dumps_spec, load_spec_file, parse_tensor_reference, spec_to_obj
+from helpers import (
+    canonical_json,
+    dumps_spec,
+    load_spec_file,
+    parse_tensor_reference,
+    seq_to_obj,
+    spec_to_obj,
+)
 
 FIXTURES = sorted(pathlib.Path(__file__).parent.glob("fixtures/*.json"))
 

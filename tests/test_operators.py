@@ -95,8 +95,8 @@ def test_apply_is_multilinear():
     for _ in range(50):
         x, x2, y = (random_vector(rng, 2) for _ in range(3))
         c = F(rng.randint(-3, 3), rng.randint(1, 3))
-        lhs = t.apply([x + x2.scale(c), y])
-        rhs = t.apply([x, y]) + t.apply([x2, y]).scale(c)
+        lhs = t.apply([x + x2 * c, y])
+        rhs = t.apply([x, y]) + t.apply([x2, y]) * c
         assert lhs == rhs
 
 
