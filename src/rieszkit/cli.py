@@ -10,7 +10,16 @@ report cannot be written because stdout is closed or fails. Reports are
 byte-identical across runs for the same input and seed; wall-clock time
 goes to stderr only.
 
-This module holds the parser, the exit-code contract, the report
+A malformed command line is an input error too: an unknown command or
+option, a missing or extra argument, an option without its value or a
+``--seed`` that is not an integer exits 2 with one ``error:`` line
+naming the bad token and an empty stdout. Options are spelled in full
+(``--js`` is refused) and take their value as the next argument
+(``--perm=theta`` is refused); ``-h`` or ``--help`` prints
+:data:`USAGE` and exits 0.
+
+This module holds the command-line table (:data:`COMMANDS`) and its
+reader :func:`parse_args`, the exit-code contract, the report
 builders of the four tensor commands that share one code path (check-dp,
 modulus, factorize, rank), the options each command records
 (:data:`RECORDED_OPTIONS`) and :func:`build`, the one reader of spec
@@ -26,7 +35,6 @@ execute: ``arens`` in :mod:`rieszkit.arens`, ``seq-demo`` in
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
@@ -137,58 +145,102 @@ def build(command: str, path: str | None, options: dict) -> dict:
     return report
 
 
-def _report(args) -> dict:
+def _report(args: dict) -> dict:
     """The report of a parsed command line: replay's, or :func:`build`'s."""
-    if args.command == "replay":
+    if args["command"] == "replay":
         from .replay import _run_replay
 
         return _run_replay(args)
-    options = {key: getattr(args, key) for key in RECORDED_OPTIONS[args.command]}
-    return build(args.command, args.file, options)
+    options = {key: args[key] for key in RECORDED_OPTIONS[args["command"]]}
+    return build(args["command"], args["file"], options)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rieszkit",
-        description="Exact lattice computations for disjointness preserving multilinear operators.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's positional arguments, a trailing "?" marking one that may
+# be left out, and its options: spelling -> (key in the parsed table,
+# default). A False default makes the option a flag; an int one makes its
+# value go through int(). Every command also takes --json.
+COMMANDS = {
+    "check-dp": (["file"], {}),
+    "arens": (["file"], {"--perm": ("perm", "all"), "--trace": ("trace", False)}),
+    "modulus": (["file"], {}),
+    "factorize": (["file"], {}),
+    "rank": (["file"], {}),
+    "seq-demo": ([], {"--seed": ("seed", 0), "--weight-file": ("file", None)}),
+    "replay": (["report", "spec?"], {}),
+}
 
-    def add(name: str, help_text: str, needs_file: bool = True):
-        p = sub.add_parser(name, help=help_text)
-        if needs_file:
-            p.add_argument("file", help="operator spec file (JSON)")
-        p.add_argument("--json", action="store_true", help="emit the report as JSON")
-        return p
+USAGE = """\
+usage: rieszkit COMMAND ARGUMENTS [OPTIONS] [--json]
 
-    add("check-dp", "decide whether a tensor preserves disjointness")
+Exact lattice computations for disjointness preserving multilinear operators.
 
-    p_arens = add("arens", "compute bidual extensions and decide disjointness of the input")
-    p_arens.add_argument(
-        "--perm",
-        default="all",
-        help='"all", "id", "theta", or cycle notation such as "(1 2)"',
-    )
-    p_arens.add_argument("--trace", action="store_true", help="print the chain masks and subset marginals")
+  check-dp FILE           decide whether a tensor preserves disjointness
+  arens FILE [--perm P] [--trace]
+                          bidual extensions along P: all (the default), id,
+                          theta, or cycles such as "(1 2)"; --trace adds the
+                          chain masks and subset marginals to the --json
+                          report only
+  modulus FILE            entrywise modulus of a tensor
+  factorize FILE          factor a scalar disjointness preserving tensor
+  rank FILE               dimension of the sublattice generated by the range
+  seq-demo [--seed N] [--weight-file FILE]
+                          run the sequence model instance suite (seed 0 by
+                          default); FILE, an EvConstSeq or diag-bilinear
+                          spec, overrides the default weight
+  replay REPORT [SPEC]    re-verify a stored --json report; SPEC is the
+                          original input file, which a seq-demo report
+                          without --weight-file does not need
 
-    add("modulus", "entrywise modulus of a tensor")
-    add("factorize", "factor a scalar disjointness preserving tensor")
-    add("rank", "dimension of the sublattice generated by the range")
+  --json                  print the report as compact canonical JSON
+  -h, --help              print this text
 
-    p_seq = add("seq-demo", "run the sequence model instance suite", needs_file=False)
-    p_seq.add_argument("--seed", type=int, default=0)
-    p_seq.add_argument(
-        "--weight-file",
-        dest="file",
-        metavar="WEIGHT_FILE",
-        help="EvConstSeq or diag-bilinear spec JSON overriding the default weight",
-    )
+Options go before or after the arguments, spelled in full, each value as
+the next argument: --perm theta, not --perm=theta.
+"""
 
-    p_replay = add("replay", "re-verify a stored report", needs_file=False)
-    p_replay.add_argument("report", help="report JSON produced with --json")
-    p_replay.add_argument("spec", nargs="?", help="the original spec file")
 
-    return parser
+def parse_args(argv: list[str]) -> dict | None:
+    """The command line read against :data:`COMMANDS`; None asks for :data:`USAGE`.
+
+    The result holds ``command``, ``json``, each positional argument (None
+    for one left out) and each option's value. A malformed command line
+    raises :class:`SpecFileError`, the input error, naming the bad token.
+    """
+    if "-h" in argv or "--help" in argv:
+        return None
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if command not in COMMANDS:
+        raise SpecFileError("no command" if command is None else f"unknown command {command!r}")
+    names, options = COMMANDS[command]
+    options = {"--json": ("json", False), **options}
+    args = {"command": command, **dict(options.values())}
+    values = []
+    for token in tokens:
+        if token in options:
+            key, default = options[token]
+            value = True
+            if default is not False:
+                value = next(tokens, "--")
+                if value.startswith("--"):
+                    raise SpecFileError(f"option {token} needs a value")
+                if type(default) is int:
+                    try:
+                        value = int(value)
+                    except ValueError:
+                        raise SpecFileError(f"option {token} takes an integer, not {value!r}") from None
+            args[key] = value
+        elif token.startswith("-"):
+            raise SpecFileError(f"{command} has no option {token!r}")
+        else:
+            values.append(token)
+    for name in names:
+        if not values and not name.endswith("?"):
+            raise SpecFileError(f"{command} needs a {name} argument")
+        args[name.rstrip("?")] = values.pop(0) if values else None
+    if values:
+        raise SpecFileError(f"unexpected argument {values[0]!r}")
+    return args
 
 
 class _OutputError(Exception):
@@ -215,12 +267,14 @@ def _note(line: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            _write_stdout(USAGE)
+            return 0
         report = _report(args)
-        _write_stdout(report_json(report) if args.json else render_human(report))
+        _write_stdout(report_json(report) if args["json"] else render_human(report))
     except (SpecFileError, ShapeError) as exc:
         _note(f"error: {exc}")
         return 2

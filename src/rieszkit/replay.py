@@ -45,12 +45,12 @@ def _stored_command(stored) -> tuple[str, dict]:
     return command, {key: stored_args[key] for key in options}
 
 
-def _run_replay(args) -> dict:
-    stored = decode_json(decode_utf8(read_bytes(args.report), "report file"), "report JSON")
+def _run_replay(args: dict) -> dict:
+    stored = decode_json(decode_utf8(read_bytes(args["report"]), "report file"), "report JSON")
     command, options = _stored_command(stored)
-    if args.spec is None and command != "seq-demo":
+    if args["spec"] is None and command != "seq-demo":
         raise SpecFileError(f"replaying {command!r} needs the original spec file")
-    rebuilt = cli.build(command, args.spec, options)
+    rebuilt = cli.build(command, args["spec"], options)
     if rebuilt["input_digest"] != stored.get("input_digest"):
         raise SpecFileError("the input does not match the report's input_digest")
 

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior through subprocesses."""
 
-import argparse
 import functools
 import hashlib
 import json
@@ -159,10 +158,10 @@ def loaded_after(argvs, modules):
 
 # Compile budgets, in AST nodes of the loaded rieszkit sources. A docstring is
 # one node and a comment none, so trimming them cannot meet a budget.
-TENSOR_BUDGET = 7_000
-REPLAY_BUDGET = 7_400
-ARENS_BUDGET = 8_400
-SEQ_DEMO_BUDGET = 9_800
+TENSOR_BUDGET = 7_200
+REPLAY_BUDGET = 7_600
+ARENS_BUDGET = 8_700
+SEQ_DEMO_BUDGET = 10_000
 
 
 def test_tensor_commands_import_only_what_they_run(tmp_path):
@@ -181,7 +180,7 @@ def test_tensor_commands_import_only_what_they_run(tmp_path):
         ["factorize", str(fixture("t_single.json"))],
         ["replay", str(report), str(fixture("t_diag.json"))],
     ]
-    heavy = ["rieszkit.arens", "rieszkit.seqmodel", "rieszkit.replay", "dataclasses"]
+    heavy = ["rieszkit.arens", "rieszkit.seqmodel", "rieszkit.replay", "dataclasses", "argparse", "gettext"]
     got = loaded_after(argvs, heavy)
     assert got["codes"] == [2, 1, 0, 0, 0, 0]
     # the replay of a check-dp report adds its own module, and nothing else
@@ -199,7 +198,7 @@ def test_seq_demo_does_not_import_arens(tmp_path):
         ["seq-demo", "--weight-file", str(fixture("d_decay.json"))],
         ["replay", str(report)],
     ]
-    got = loaded_after(argvs, ["rieszkit.arens"])
+    got = loaded_after(argvs, ["rieszkit.arens", "argparse", "gettext"])
     assert got["codes"] == [0, 0, 0] and got["loaded"] == [[], [], []]
     # the replay adds rieszkit.replay on top of what the two seq-demo runs loaded
     assert max(got["nodes"][:2]) <= SEQ_DEMO_BUDGET, got["nodes"]
@@ -216,7 +215,7 @@ def test_arens_does_not_import_sampling_or_seqmodel(tmp_path):
         ["arens", str(fixture("t_diag.json")), "--perm", "theta", "--trace"],
         ["replay", str(report), str(fixture("t_m3.json"))],
     ]
-    heavy = ["rieszkit.seqmodel", "rieszkit.replay"]
+    heavy = ["rieszkit.seqmodel", "rieszkit.replay", "argparse", "gettext"]
     code = 0 if loads_spec(fixture("t_m3.json").read_text()).is_dp().is_dp else 1
     got = loaded_after(argvs, heavy)
     assert got["codes"] == [code, 1, 0]
@@ -654,6 +653,107 @@ def test_closed_stderr_keeps_the_verdict():
     )
     assert result.returncode == 0
     assert result.stdout.endswith(b"result: ok\n")
+
+
+def test_module_run_skips_interpreter_finalization():
+    # once the report and its elapsed line are flushed the process ends at
+    # once: an atexit hook, which finalization would run, never fires
+    script = textwrap.dedent(
+        f"""
+        import atexit, runpy, sys
+        atexit.register(lambda: sys.stderr.write("finalized\\n"))
+        sys.argv = ["rieszkit", "check-dp", {str(fixture("t_diag.json"))!r}, "--json"]
+        runpy.run_module("rieszkit", run_name="__main__")
+        """
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert result.returncode == 1
+    assert json.loads(result.stdout)["ok"] is False
+    assert re.fullmatch(rb"elapsed: \d+\.\d{3}s\n", result.stderr), result.stderr
+
+
+def test_large_report_through_a_pipe_is_whole(tmp_path, capsys):
+    # the process exits without finalizing, so every byte of a report of
+    # a few MB must be flushed down the pipe first
+    spec = tmp_path / "nondp.json"
+    spec.write_text(json.dumps(non_dp_16x4_spec(16)))
+    argv = ["arens", str(spec), "--perm", "all", "--trace", "--json"]
+    result = run(*argv)
+    assert cli.main(argv) == result.returncode == 1
+    out, err = capsys.readouterr()
+    assert len(result.stdout) > 1_000_000
+    assert result.stdout == out.encode()
+    assert re.fullmatch(rb"elapsed: \d+\.\d{3}s\n", result.stderr), result.stderr
+    assert re.fullmatch(r"elapsed: \d+\.\d{3}s\n", err), err
+
+
+# Command lines the table accepts, each with what argparse parsed it to.
+ACCEPTED_LINES = [
+    (["check-dp", "t.json"], {"command": "check-dp", "file": "t.json", "json": False}),
+    (["rank", "--json", "t.json"], {"command": "rank", "file": "t.json", "json": True}),
+    (
+        ["arens", "--trace", "--perm", "theta", "t.json", "--json"],
+        {"command": "arens", "file": "t.json", "perm": "theta", "trace": True, "json": True},
+    ),
+    (
+        ["arens", "t.json", "--perm", "(1 2)"],
+        {"command": "arens", "file": "t.json", "perm": "(1 2)", "trace": False, "json": False},
+    ),
+    (["seq-demo"], {"command": "seq-demo", "seed": 0, "file": None, "json": False}),
+    (["seq-demo", "--seed", "-3"], {"command": "seq-demo", "seed": -3, "file": None, "json": False}),
+    (
+        ["seq-demo", "--weight-file", "w.json", "--json", "--seed", "7"],
+        {"command": "seq-demo", "seed": 7, "file": "w.json", "json": True},
+    ),
+    (["replay", "r.json"], {"command": "replay", "report": "r.json", "spec": None, "json": False}),
+    (
+        ["replay", "--json", "r.json", "t.json"],
+        {"command": "replay", "report": "r.json", "spec": "t.json", "json": True},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ACCEPTED_LINES, ids=[" ".join(argv) for argv, _ in ACCEPTED_LINES])
+def test_command_line_table_accepts(argv, expected):
+    assert cli.parse_args(argv) == expected
+
+
+# Malformed command lines, each with what its one error line names.
+REFUSED_LINES = [
+    ([], "no command"),
+    (["bogus", "{input}"], "'bogus'"),
+    (["--json", "check-dp", "{input}"], "'--json'"),
+    (["check-dp"], "file"),
+    (["check-dp", "{input}", "{input}"], "unexpected argument"),
+    (["check-dp", "{input}", "--js"], "'--js'"),
+    (["arens", "{input}", "--tr"], "'--tr'"),
+    (["check-dp", "{input}", "--perm", "all"], "'--perm'"),
+    (["arens", "{input}", "--perm"], "--perm"),
+    (["arens", "{input}", "--json", "--perm", "--json"], "--perm"),
+    (["arens", "{input}", "--perm=theta"], "'--perm=theta'"),
+    (["seq-demo", "--seed", "x"], "'x'"),
+    (["seq-demo", "--seed", "1.5"], "'1.5'"),
+    (["seq-demo", "{input}"], "unexpected argument"),
+    (["replay"], "report"),
+    (["replay", "{input}", "{input}", "{input}"], "unexpected argument"),
+]
+
+
+@pytest.mark.parametrize("argv, named", REFUSED_LINES, ids=[" ".join(argv) or "empty" for argv, _ in REFUSED_LINES])
+def test_malformed_command_line_is_an_input_error(capsys, argv, named):
+    # argparse took --js for --json and --perm=theta for --perm theta; the
+    # table takes each option in one spelling only
+    path = str(fixture("t_diag.json"))
+    assert cli.main([path if a == "{input}" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["arens", "t.json", "--help"]], ids=" ".join)
+def test_help_prints_usage(capsys, argv):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (cli.USAGE, "")
 
 
 @pytest.mark.parametrize(
@@ -1110,10 +1210,9 @@ def test_replay_recomputes_every_field(tmp_path, capsys, case):
 
 
 def test_replay_table_names_every_command():
-    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(sub.choices) - {"replay"} == set(cli.RECORDED_OPTIONS)
+    assert set(cli.COMMANDS) - {"replay"} == set(cli.RECORDED_OPTIONS)
     for command, options in cli.RECORDED_OPTIONS.items():
-        assert set(options) <= {a.dest for a in sub.choices[command]._actions}, command
+        assert set(options) <= {key for key, _ in cli.COMMANDS[command][1].values()}, command
 
 
 def test_replay_accepts_indented_reports(tmp_path):

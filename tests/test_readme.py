@@ -54,3 +54,7 @@ def test_check_dp_transcript(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert cli.main(["check-dp", "tests/fixtures/t_diag.json"]) == int(code) == 1
     assert capsys.readouterr().out == stdout
+
+
+def test_usage_block_is_the_help_text():
+    assert cli.USAGE in blocks("")
