@@ -64,7 +64,9 @@ class Permutation(tuple):
 
     ``rho(i)`` and ``rho[i]`` are both the image of slot i and ``rho.m`` is
     the number of slots. Being a tuple, a Permutation equals, and hashes
-    like, the plain tuple of its images.
+    like, the plain tuple of its images; its repr is the constructor call,
+    which reads back. One-based images appear only on the wire and in
+    cycle notation.
     """
 
     __slots__ = ()
@@ -78,18 +80,6 @@ class Permutation(tuple):
 
     m = property(tuple.__len__)
     __call__ = tuple.__getitem__
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(range(m))
-
-    @classmethod
-    def theta(cls, m: int) -> "Permutation":
-        """The reversing permutation: slot m first, slot 1 last (1-based).
-
-        The extension it induces is the classical iterated-adjoint one.
-        """
-        return cls(range(m - 1, -1, -1))
 
     @classmethod
     def from_cycles(cls, text: str, m: int) -> "Permutation":
@@ -119,12 +109,8 @@ class Permutation(tuple):
                 images[a - 1] = b - 1
         return cls(images)
 
-    def one_line(self) -> tuple[int, ...]:
-        """Images as 1-based one-line notation, for display."""
-        return tuple(i + 1 for i in self)
-
     def __repr__(self) -> str:
-        return f"Permutation{self.one_line()}"
+        return f"Permutation({tuple(self)!r})"
 
 
 def all_permutations(m: int) -> Iterator[Permutation]:
@@ -255,9 +241,10 @@ def _perm_choices(text: str, m: int) -> list[Permutation]:
     if text == "all":
         return list(all_permutations(m))
     if text == "id":
-        return [Permutation.identity(m)]
+        return [Permutation(range(m))]
     if text == "theta":
-        return [Permutation.theta(m)]
+        # slot m first: the classical iterated-adjoint extension
+        return [Permutation(range(m - 1, -1, -1))]
     try:
         return [Permutation.from_cycles(text, m)]
     except ValueError as exc:
@@ -281,7 +268,7 @@ def _report_arens(tensor: MultiTensor, perm: str, trace: bool) -> dict:
     tensor_obj = tensor_to_obj(tensor)
     extensions = []
     for rho in perms:
-        entry = {"perm": list(rho.one_line()), "dp": verdict.is_dp, "tensor": tensor_obj}
+        entry = {"perm": [i + 1 for i in rho], "dp": verdict.is_dp, "tensor": tensor_obj}
         if trace:
             entry["trace"] = chain_masks(rho)
         extensions.append(entry)

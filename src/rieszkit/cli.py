@@ -152,6 +152,8 @@ def _report(args: dict) -> dict:
 
         return _run_replay(args)
     options = {key: args[key] for key in RECORDED_OPTIONS[args["command"]]}
+    if "trace" in options:  # human text prints no detail, so no trace to build
+        options["trace"] &= args["json"]
     return build(args["command"], args["file"], options)
 
 

@@ -76,9 +76,9 @@ def _is_int(value) -> bool:
 
 
 def _all_ints(items: list) -> bool:
-    # Plain ints, the only kind JSON yields, are told apart in C; bools
-    # and other int subclasses take the per-item test.
-    return set(map(type, items)) == _INT_TYPE or all(map(_is_int, items))
+    # Plain ints, the only kind JSON yields, are told apart in C. Bools are
+    # refused, and so is any other int subclass, which JSON never yields.
+    return set(map(type, items)) <= _INT_TYPE
 
 
 def _int_field(obj: dict, key: str, what: str) -> int:

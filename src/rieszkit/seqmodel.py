@@ -113,9 +113,6 @@ class EvConstSeq(CoordinatewiseLattice):
     def exceptions(self) -> dict[int, Fraction]:
         return dict(self._exc)
 
-    def max_exception_index(self) -> int:
-        return max(self._exc, default=0)
-
     def value_at(self, k: int) -> Fraction:
         return self._exc.get(_index(k), self._tail)
 
@@ -328,12 +325,7 @@ def comp_probe_pairs(
     """(j, <u, T'e_j*>, (T''u)_j by the formula) at each probe of comp_biadjoint."""
     result = comp_apply(op, u)
     probes = sorted(result.exceptions)
-    high = max(
-        [result.max_exception_index(), u.max_exception_index(),
-         op.weight.max_exception_index()]
-        + list(op.table)
-        + [op.shift]
-    )
+    high = max([*result.exceptions, *u.exceptions, *op.weight.exceptions, *op.table, op.shift])
     probes.append(high + 1)
     for j in probes:
         functional = EvConstSeq.atom(j)
@@ -378,7 +370,7 @@ def diag_lattice_rank(op: DiagBilinear) -> tuple[int | None, list[int]]:
     if weight.tail == 0:
         support = weight.support()
         return len(support), support
-    start = weight.max_exception_index() + 1
+    start = max(weight.exceptions, default=0) + 1
     return None, list(range(start, start + RANK_CERTIFICATE))
 
 

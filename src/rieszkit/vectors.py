@@ -29,9 +29,7 @@ class CoordinatewiseLattice:
     A subclass supplies ``_map(fn)``, the element with ``fn`` applied to
     every coordinate; ``_combine(other, fn)``, with ``fn`` applied to each
     pair of matching coordinates, raising :class:`ValueError` when the
-    spaces differ; and ``_values()``, every value the element takes, which
-    may be an existing accessor: :class:`FinVector` binds it to
-    ``coords``, and ``EvConstSeq`` lists its exceptions and tail.
+    spaces differ; and ``_values()``, every value the element takes.
     """
 
     __slots__ = ()
@@ -78,9 +76,6 @@ class CoordinatewiseLattice:
         """
         return self.sup(other) == other
 
-    def is_positive(self) -> bool:
-        return min(self._values()) >= 0
-
     def is_zero(self) -> bool:
         return not any(self._values())
 
@@ -97,7 +92,7 @@ class FinVector(CoordinatewiseLattice):
     """Immutable vector in Q^n with coordinatewise lattice structure.
 
     >>> x = FinVector([1, -2, 0])
-    >>> x.pos().coords(), x.neg().coords()
+    >>> tuple(x.pos()), tuple(x.neg())
     ((Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(2, 1), Fraction(0, 1)))
     >>> x == x.pos() - x.neg()
     True
@@ -118,10 +113,8 @@ class FinVector(CoordinatewiseLattice):
             raise IndexError(f"atom index {index} out of range for dim {dim}")
         return cls([Fraction(1) if i == index else _ZERO for i in range(dim)])
 
-    def coords(self) -> tuple[Fraction, ...]:
+    def _values(self) -> tuple[Fraction, ...]:
         return self._coords
-
-    _values = coords
 
     def __len__(self) -> int:
         return len(self._coords)

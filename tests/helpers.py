@@ -396,7 +396,7 @@ def _rref_basis(vectors):
     """Reduced echelon basis of the span of the given vectors."""
     basis: list[tuple[int, list[Fraction]]] = []
     for vec in vectors:
-        row = list(vec.coords())
+        row = list(vec)
         for pivot, b in basis:
             if row[pivot] != 0:
                 f = row[pivot]

@@ -160,7 +160,7 @@ def loaded_after(argvs, modules):
 # one node and a comment none, so trimming them cannot meet a budget.
 TENSOR_BUDGET = 7_200
 REPLAY_BUDGET = 7_600
-ARENS_BUDGET = 8_700
+ARENS_BUDGET = 8_600
 SEQ_DEMO_BUDGET = 10_000
 
 
@@ -330,6 +330,26 @@ def test_trace_contracts_each_marginal_once(monkeypatch, capsys, name):
     assert 0 < len(calls) <= (2**tensor.m - 1) * tensor.codomain_dim
 
 
+@pytest.mark.parametrize("name", ["t_m3.json", "t_m4.json"])
+def test_human_trace_builds_no_marginals(monkeypatch, capsys, name):
+    # human text prints no detail, so --trace without --json contracts
+    # nothing and prints what the untraced run prints
+    import rieszkit.arens as arens
+
+    calls = []
+    contract_entries = arens._contract_entries
+
+    def counted(*args):
+        calls.append(args)
+        return contract_entries(*args)
+
+    monkeypatch.setattr(arens, "_contract_entries", counted)
+    path = str(fixture(name))
+    traced = cli.main(["arens", path, "--perm", "all", "--trace"]), capsys.readouterr().out
+    assert calls == []
+    assert traced == (cli.main(["arens", path, "--perm", "all"]), capsys.readouterr().out)
+
+
 def test_arens_perm_selection():
     theta = run("arens", fixture("t_vector_dp.json"), "--perm", "theta", "--json")
     cycled = run("arens", fixture("t_vector_dp.json"), "--perm", "(1 2)", "--json")
@@ -340,6 +360,11 @@ def test_arens_perm_selection():
     assert a["detail"]["extensions"][0]["perm"] == [2, 1]
     everything = json.loads(run("arens", fixture("t_m3.json"), "--json").stdout)
     assert len(everything["detail"]["extensions"]) == 6
+    # theta runs slot m first and id slot 1 first, at every arity
+    for name, m in (("t_m1.json", 1), ("t_m3.json", 3), ("t_m4.json", 4)):
+        for perm, images in (("theta", list(range(m, 0, -1))), ("id", list(range(1, m + 1)))):
+            report = json.loads(run("arens", fixture(name), "--perm", perm, "--json").stdout)
+            assert [e["perm"] for e in report["detail"]["extensions"]] == [images], (name, perm)
 
 
 @pytest.mark.parametrize(

@@ -357,7 +357,7 @@ def test_range_basis_is_disjoint_positive():
         basis = t.range_sublattice_basis()
         assert len(basis) == rank_oracle(t)
         for i, b in enumerate(basis):
-            assert b.is_positive() and not b.is_zero()
+            assert 0 * b <= b and not b.is_zero()
             for b2 in basis[i + 1 :]:
                 assert b.is_disjoint(b2)
         # reduced echelon shape: each vector leads with a 1, in lead order
